@@ -739,11 +739,18 @@ struct Gateway<'a, I> {
     route_seq: u64,
     route_clock: SimTime,
     next_route: Option<(SimTime, u64, PinnedQuery)>,
-    /// Reused outstanding-load scratch so routing allocates nothing after
-    /// the first arrival.
-    scratch: Vec<u64>,
+    /// Per-shard outstanding-query counts as the coordinator sees them —
+    /// the one load view JSQ routing and shed admission both read. Per-event
+    /// mode re-reads the lanes before every arrival (they move between
+    /// items); lookahead mode reads them once at each window edge and adds
+    /// its own offers as it delivers them (lanes stand still inside a
+    /// window, so the two agree exactly).
+    load: Vec<u64>,
     /// Shard liveness: failed shards leave the routing rotation.
     alive: Vec<bool>,
+    /// Number of `true` entries in `alive`, kept in step by the shard
+    /// fail/repair handlers so routing never recounts.
+    live: usize,
     /// Per shard, which of its base-budget GPU slots are currently failed.
     failed_gpus: Vec<Vec<bool>>,
     /// Per shard × base GPU slot: the active slow-GPU fault's
@@ -787,12 +794,10 @@ struct Gateway<'a, I> {
     busy_snap: Vec<u128>,
     busy_snap_at: SimTime,
     busy_rate: Vec<f64>,
-    /// Lookahead-mode staleness patches, reset at every window edge:
-    /// offers delivered since the edge (so JSQ sees the load it already
-    /// routed this window) and shards sent a Replan/Arm since the edge
-    /// (so a rebalance defers instead of double-transferring). Always
-    /// zero/false in per-event mode, where lane reads are exact.
-    out_est: Vec<u64>,
+    /// Lookahead-mode staleness patch, reset at every window edge: shards
+    /// sent a Replan/Arm since the edge (so a rebalance defers instead of
+    /// double-transferring). Always false in per-event mode, where lane
+    /// reads are exact.
     in_flight_est: Vec<bool>,
     items_processed: u64,
     last_item_at: SimTime,
@@ -849,8 +854,9 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             route_seq: 0,
             route_clock: SimTime::ZERO,
             next_route: None,
-            scratch: Vec::with_capacity(n),
+            load: vec![0; n],
             alive: vec![true; n],
+            live: n,
             failed_gpus: cluster
                 .shards
                 .iter()
@@ -877,7 +883,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             busy_snap: vec![0; n],
             busy_snap_at: SimTime::ZERO,
             busy_rate: vec![0.0; n],
-            out_est: vec![0; n],
             in_flight_est: vec![false; n],
             items_processed: 0,
             last_item_at: SimTime::ZERO,
@@ -948,7 +953,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     fn deliver(&mut self, lanes: &mut [Lane<'a>], s: usize, t: SimTime, k: u64, cmd: Command) {
         if let SyncWindow::Lookahead(_) = self.sync {
             match &cmd {
-                Command::Offer(_) => self.out_est[s] += 1,
+                Command::Offer(_) => self.load[s] += 1,
                 Command::Replan(_) | Command::Arm(_) => self.in_flight_est[s] = true,
                 _ => {}
             }
@@ -958,11 +963,31 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         }
     }
 
-    /// Shard `s`'s outstanding-query count as the coordinator knows it:
-    /// exact in per-event mode, edge-of-window plus own offers in
-    /// lookahead mode.
-    fn outstanding(&self, lanes: &[Lane<'a>], s: usize) -> u64 {
-        lanes[s].engine.outstanding_queries() + self.out_est[s]
+    /// Reads every lane's outstanding-query count into the load view.
+    fn read_loads(&mut self, lanes: &[Lane<'a>]) {
+        for (load, lane) in self.load.iter_mut().zip(lanes) {
+            *load = lane.engine.outstanding_queries();
+        }
+    }
+
+    /// Debug check of the lookahead load view: each entry must equal the
+    /// lane's (window-frozen) outstanding count plus the offers already
+    /// mailed to it this window — what a per-arrival lane read returned.
+    fn debug_check_loads(&self, lanes: &[Lane<'a>]) {
+        if cfg!(debug_assertions) {
+            for (s, lane) in lanes.iter().enumerate() {
+                let mailed = lane
+                    .mailbox
+                    .iter()
+                    .filter(|(_, cmd)| matches!(cmd, Command::Offer(_)))
+                    .count() as u64;
+                assert_eq!(
+                    self.load[s],
+                    lane.engine.outstanding_queries() + mailed,
+                    "shard {s}: stale load view"
+                );
+            }
+        }
     }
 
     /// Whether shard `s` should be treated as mid-reconfiguration for
@@ -1017,16 +1042,14 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         key: u64,
     ) {
         self.roll_busy_window(lanes, now);
+        if self.sync == SyncWindow::PerEvent {
+            self.read_loads(lanes);
+        } else {
+            self.debug_check_loads(lanes);
+        }
         let (s, pinned) = match pin {
             Some(p) if p < lanes.len() && self.alive[p] => (p, true),
-            _ => {
-                self.scratch.clear();
-                for (s, lane) in lanes.iter().enumerate() {
-                    self.scratch
-                        .push(lane.engine.outstanding_queries() + self.out_est[s]);
-                }
-                (self.router.pick(&self.scratch, &self.alive), false)
-            }
+            _ => (self.router.pick(&self.load, &self.alive, self.live), false),
         };
         if let Some(policy) = self.cluster.shed.as_ref() {
             let sla = self
@@ -1036,7 +1059,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 .and_then(|shard| shard.models().get(tq.model))
                 .and_then(|m| m.sla_ns);
             if let Some(sla_ns) = sla {
-                if policy.should_shed(tq.model, self.estimated_delay_ns(lanes, s), sla_ns) {
+                if policy.should_shed(tq.model, self.estimated_delay_ns(s), sla_ns) {
                     self.shed_per_model[tq.model] += 1;
                     if let Some(tr) = &mut self.trace {
                         tr.record(
@@ -1171,7 +1194,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// policy only needs a monotone overload signal, and this one is O(1)
     /// per arrival. A shard with no surviving GPU projects infinite delay
     /// (everything sheddable sheds until repair).
-    fn estimated_delay_ns(&self, lanes: &[Lane<'a>], s: usize) -> f64 {
+    fn estimated_delay_ns(&self, s: usize) -> f64 {
         let Some(budget) = self.effective_budget(s) else {
             return f64::INFINITY;
         };
@@ -1181,7 +1204,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         if cap_qps <= 0.0 {
             return f64::INFINITY;
         }
-        self.outstanding(lanes, s) as f64 / cap_qps * 1e9
+        self.load[s] as f64 / cap_qps * 1e9
     }
 
     /// Per-shard demand in full-GPU equivalents under the policy's
@@ -1223,13 +1246,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// reads as a genuine shortfall the pool can backfill.
     fn rebalance(&mut self, lanes: &mut [Lane<'a>], now: SimTime, key: u64) {
         let demand = self.demand_estimates(lanes, now);
-        let policy = self
-            .cluster
-            .loan
-            .as_ref()
-            .expect("rebalance requires a loan policy");
-        let (overload, underload) = (policy.overload_ratio, policy.underload_ratio);
-        let _ = (overload, underload);
         let mut deferred = false;
         // Pass 0 executes returns, pass 1 borrows — so one window's
         // reclaims can fund its loans.
@@ -1339,7 +1355,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             s,
             now,
             key,
-            Command::Replan(ArmedReplan {
+            Command::Replan(Box::new(ArmedReplan {
                 id: 0,
                 budget,
                 weights,
@@ -1347,7 +1363,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 cost,
                 extra_downtime: extra,
                 mode,
-            }),
+            })),
         );
         if let Some(tr) = &mut self.trace {
             tr.record(
@@ -1465,8 +1481,9 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             FaultEvent::ShardFail { shard } => {
                 // A drain, not a kill: the router stops sending traffic
                 // and the shard serves out what it already holds.
-                if shard < self.alive.len() {
+                if shard < self.alive.len() && self.alive[shard] {
                     self.alive[shard] = false;
+                    self.live -= 1;
                 }
                 if self.cluster.loan.is_some() {
                     self.rebalance(lanes, now, key);
@@ -1475,6 +1492,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             FaultEvent::ShardRepair { shard } => {
                 if shard < self.alive.len() && !self.alive[shard] {
                     self.alive[shard] = true;
+                    self.live += 1;
                     if self.cluster.loan.is_some() {
                         self.rebalance(lanes, now, key);
                     }
@@ -1578,7 +1596,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             s,
             now,
             key,
-            Command::Arm(ArmedReplan {
+            Command::Arm(Box::new(ArmedReplan {
                 id,
                 budget,
                 weights,
@@ -1586,7 +1604,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 cost: self.fault_cost,
                 extra_downtime: SimDuration::ZERO,
                 mode: self.fault_mode,
-            }),
+            })),
         );
     }
 
@@ -1657,12 +1675,12 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     let end_ns = edge_ns.saturating_add(w);
                     exec.advance_all(lanes, (SimTime::from_nanos(edge_ns), 0));
                     self.harvest(lanes);
-                    self.out_est.iter_mut().for_each(|o| *o = 0);
+                    self.read_loads(lanes);
                     self.in_flight_est.iter_mut().for_each(|f| *f = false);
                     // All of this window's decisions fire against the
-                    // edge state (plus the staleness patches); their
-                    // commands execute mid-window at exact stamps when
-                    // the lanes next advance.
+                    // edge state (plus the gateway's own offers and the
+                    // staleness patch); their commands execute mid-window
+                    // at exact stamps when the lanes next advance.
                     while let Some((t, _)) = self.peek_stamp() {
                         if t.as_nanos() >= end_ns {
                             break;

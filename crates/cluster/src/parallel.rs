@@ -97,7 +97,7 @@ pub(crate) enum Command {
     /// started a reconfiguration the coordinator's edge-stale in-flight
     /// read missed, the in-flight transition aborts first — the ledger
     /// already moved the GPUs, so the budget must be adopted either way.
-    Replan(ArmedReplan),
+    Replan(Box<ArmedReplan>),
     /// A GPU failure: abort any in-flight reconfiguration, pack the live
     /// layout into physical-GPU bins, kill bin `gpu`'s instances and record
     /// how many queries requeued against `log_idx` in the fault log.
@@ -110,7 +110,7 @@ pub(crate) enum Command {
     /// Arm a recovery re-plan to fire as soon as no reconfiguration is in
     /// flight (retried after every local event, exactly like the
     /// sequential engine's recovery poke).
-    Arm(ArmedReplan),
+    Arm(Box<ArmedReplan>),
     /// Recovery became infeasible (e.g. a second failure shrank the
     /// survivor budget below one GPU per model): drop any armed re-plan.
     Disarm,
@@ -146,7 +146,7 @@ pub(crate) struct Lane<'a> {
     /// commands synchronously through the same code path.
     pub mailbox: VecDeque<(u128, Command)>,
     /// Armed recovery re-plan waiting for the in-flight transition to end.
-    armed: Option<ArmedReplan>,
+    armed: Option<Box<ArmedReplan>>,
     /// Highest recovery id this lane ever fired (stale re-arm guard).
     last_fired: u64,
     /// Recovery ids fired since the last harvest.
@@ -510,5 +510,18 @@ impl<'a> LaneExecutor<'a> for WorkerPool<'a> {
                 .drain(..)
                 .map(|s| s.expect("every lane comes home")),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Lookahead mailboxes are pre-sized to the lane capacity, so the slot
+    /// size multiplies straight into peak memory: re-plan payloads stay
+    /// boxed and a slot stays one stamp plus a query.
+    #[test]
+    fn mailbox_slot_stays_small() {
+        assert!(std::mem::size_of::<(u128, Command)>() <= 48);
     }
 }

@@ -448,3 +448,91 @@ fn lane_capacity_hints_cover_peak_pending() {
         }
     }
 }
+
+/// FNV-1a over a report's `Debug` bytes — a stable fingerprint of every
+/// field, so a golden test can pin the whole report in one number.
+fn debug_fingerprint(report: &ClusterReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Golden values for one lookahead fleet that exercises every gateway
+/// read of shard load: JSQ routing, shed admission, loan rebalancing, a
+/// GPU kill and a whole-shard drain. The thread-invariance tests compare a
+/// run only against itself at other thread counts, so a load view that is
+/// wrong the same way at every thread count passes them; these pinned
+/// numbers do not.
+#[test]
+fn lookahead_fleet_matches_golden_values() {
+    let table = mobilenet_table();
+    let dist = BatchDistribution::paper_default();
+    const SLA_NS: u64 = 20_000_000;
+    let sla_shard = || {
+        MultiModelServer::new(
+            vec![
+                ModelSpec::new("premium", table.clone(), dist.clone()).with_sla_ns(SLA_NS),
+                ModelSpec::new("batch", table.clone(), dist.clone()).with_sla_ns(SLA_NS),
+            ],
+            GpcBudget::new(14, 2),
+            MultiModelConfig::new(),
+        )
+        .unwrap()
+    };
+    let cluster = Cluster::new(
+        (0..4).map(|_| sla_shard()).collect(),
+        RouterPolicy::JoinShortestQueue,
+    )
+    .with_loan(
+        LoanPolicy::new(2, 0.1)
+            .with_thresholds(0.6, 0.2)
+            .with_demand_model(LoanDemandModel::PlannedEfficiency)
+            .with_detector(DriftDetectorConfig::new(0.1).with_min_observations(20)),
+    )
+    .with_shed(ShedPolicy::new(vec![0, 1]).with_margin(1.0));
+    let base = surge_trace(&cluster, 0.5, 0.9, 2, 61);
+    // Pin every fourth arrival to shard 0: its overload drives the loan
+    // controller and the shed policy while JSQ balances the remainder.
+    let pinned: Vec<(Option<usize>, TaggedQuerySpec)> = base
+        .iter()
+        .enumerate()
+        .map(|(i, &tq)| (if i % 4 == 0 { Some(0) } else { None }, tq))
+        .collect();
+    let timeline = FaultTimeline::new(vec![
+        (
+            SimTime::from_nanos(650_300_000),
+            FaultEvent::GpuFail { shard: 1, gpu: 0 },
+        ),
+        (
+            SimTime::from_nanos(900_700_000),
+            FaultEvent::ShardFail { shard: 2 },
+        ),
+        (
+            SimTime::from_nanos(1_050_000_000),
+            FaultEvent::GpuRepair { shard: 1, gpu: 0 },
+        ),
+        (
+            SimTime::from_nanos(1_150_500_000),
+            FaultEvent::ShardRepair { shard: 2 },
+        ),
+    ]);
+    let report = cluster.run_windowed(
+        pinned.iter().copied(),
+        ReportDetail::Full,
+        &timeline,
+        SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
+        1,
+    );
+    assert_conserved(&report, pinned.len());
+    let loans: Vec<(usize, i64)> = report
+        .loans
+        .iter()
+        .map(|l| (l.shard, l.gpus_delta))
+        .collect();
+    assert_eq!(report.routed, [4183, 1421, 2326, 2634]);
+    assert_eq!(report.shed_per_model, [0, 1964]);
+    assert_eq!(loans, [(0, 2)]);
+    assert_eq!(debug_fingerprint(&report), 0xc59a_1488_70ca_92d8);
+}
