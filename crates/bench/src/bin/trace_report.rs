@@ -20,7 +20,8 @@
 //!   batch 50 % availability) on the registry, print the deterministic
 //!   alert log plus each fired alert's causal tail attribution (ranked
 //!   causes summing to the worst window's p99 excess with zero
-//!   residual), and annotate the `--trace` export with alert rows;
+//!   residual — the run exits non-zero if any attribution leaves one),
+//!   and annotate the `--trace` export with alert rows;
 //! - `--metrics <path>` — dump every registry series: `.csv` extension
 //!   writes `series,bin,t_ns,value` rows, anything else one JSONL
 //!   object per series;
@@ -236,6 +237,12 @@ fn main() {
             "causal tail attribution (per fired alert's worst window, zero residual)",
             &["class", "bin", "p99 ms", "excess ms", "cause", "share ms"],
             &attribution_rows,
+        );
+        // The same gate `bench_obs` applies: a non-zero residual fails the
+        // run, so `--slo` doubles as an attribution check.
+        assert!(
+            attributions.iter().all(|a| a.causes_sum() == a.excess_ns),
+            "cause shares must sum to the window p99 excess exactly"
         );
     }
 

@@ -29,7 +29,7 @@
 
 use crate::analyze::{overlap_ns, union_intervals};
 use crate::event::{FaultKind, TraceEvent};
-use crate::recorder::QueryTrace;
+use crate::recorder::{QueryTrace, TraceRecord};
 use crate::slo::Alert;
 use std::collections::HashMap;
 
@@ -115,31 +115,45 @@ struct TailContext {
     reconfig_drift: HashMap<u32, Vec<(u64, u64)>>,
     fault_windows: HashMap<u32, Vec<(u64, u64)>>,
     degrade_windows: HashMap<u32, Vec<(u64, u64)>>,
-    /// All completions with full per-query state, in trace order.
+    /// The completions the caller can pick from, with full per-query state
+    /// (the order of two completions of one query is their trace order).
     completions: Vec<Completion>,
 }
 
-fn build_context(trace: &QueryTrace) -> TailContext {
-    let horizon = trace.horizon().as_nanos();
-    let mut ctx = TailContext {
-        reconfig_loan: HashMap::new(),
-        reconfig_fault: HashMap::new(),
-        reconfig_drift: HashMap::new(),
-        fault_windows: HashMap::new(),
-        degrade_windows: HashMap::new(),
-        completions: Vec::new(),
-    };
-    // Latest loan/fault annotation per shard, in global trace order — the
-    // classifier for reconfig downtime that follows it.
-    let mut last_trigger: HashMap<usize, Trigger> = HashMap::new();
-    // Open fail→repair windows keyed by (shard, gpu, shard_level) and open
-    // degrade windows keyed by (shard, gpu).
-    let mut open_fail: HashMap<(usize, usize, bool), u64> = HashMap::new();
-    let mut open_degrade: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut states: HashMap<(u32, u64), QueryState> = HashMap::new();
+/// The state slot of `(lane, query)`, growing the dense tables on demand.
+/// Query ids are dense per lane (each dispatch core numbers its own
+/// queries from zero), so a `Vec` indexed by id replaces a hashed map.
+fn state_mut(states: &mut Vec<Vec<QueryState>>, lane: u32, query: u64) -> &mut QueryState {
+    let (lane, query) = (lane as usize, query as usize);
+    if lane >= states.len() {
+        states.resize_with(lane + 1, Vec::new);
+    }
+    let lane_states = &mut states[lane];
+    if query >= lane_states.len() {
+        lane_states.resize(query + 1, QueryState::default());
+    }
+    &mut lane_states[query]
+}
 
-    for r in trace.records() {
+/// Extracts the attribution context in one pass over the lane buffers,
+/// without realizing the trace's global sort, keeping only completions for
+/// which `keep(group, complete_ns)` holds.
+///
+/// The lifecycle fold needs no global order: all records of one query
+/// share its lane and key, so the global `(at, key, lane, seq)` order
+/// restricted to them is their push order. Only the loan/fault/reconfig
+/// annotations are order-sensitive across lanes — loans and faults are
+/// recorded on the gateway lane and classify the reconfig steps of the
+/// shard lanes — so that small subset is collected and sorted into its
+/// exact relative global order before it is folded.
+fn build_context(trace: &QueryTrace, keep: impl Fn(usize, u64) -> bool) -> TailContext {
+    let mut horizon = 0;
+    let mut states: Vec<Vec<QueryState>> = Vec::new();
+    let mut completions = Vec::new();
+    let mut annotations: Vec<TraceRecord> = Vec::new();
+    trace.for_each_unordered(|r| {
         let at = r.at.as_nanos();
+        horizon = horizon.max(at);
         match r.event {
             TraceEvent::Arrival {
                 query,
@@ -147,7 +161,7 @@ fn build_context(trace: &QueryTrace) -> TailContext {
                 dispatched_ns,
                 ..
             } => {
-                let st = states.entry((r.lane, query)).or_default();
+                let st = state_mut(&mut states, r.lane, query);
                 st.group = group;
                 st.arrival_ns = at;
                 st.dispatched_ns = dispatched_ns;
@@ -159,7 +173,7 @@ fn build_context(trace: &QueryTrace) -> TailContext {
                 base_ns,
                 ..
             } => {
-                let st = states.entry((r.lane, query)).or_default();
+                let st = state_mut(&mut states, r.lane, query);
                 st.last_start_ns = at;
                 st.clean_ns = clean_ns;
                 st.base_ns = base_ns;
@@ -168,9 +182,12 @@ fn build_context(trace: &QueryTrace) -> TailContext {
             TraceEvent::Complete {
                 query, latency_ns, ..
             } => {
-                if let Some(&state) = states.get(&(r.lane, query)) {
-                    if state.arrived && state.started {
-                        ctx.completions.push(Completion {
+                let state = states
+                    .get(r.lane as usize)
+                    .and_then(|lane| lane.get(query as usize));
+                if let Some(&state) = state {
+                    if state.arrived && state.started && keep(state.group, at) {
+                        completions.push(Completion {
                             latency_ns,
                             lane: r.lane,
                             query,
@@ -180,6 +197,42 @@ fn build_context(trace: &QueryTrace) -> TailContext {
                     }
                 }
             }
+            TraceEvent::Loan { .. }
+            | TraceEvent::Fault { .. }
+            | TraceEvent::ReconfigStep { .. } => {
+                annotations.push(*r);
+            }
+            _ => {}
+        }
+    });
+    annotations.sort_by_key(|r| (r.at, r.key, r.lane, r.seq));
+    let mut ctx = TailContext {
+        reconfig_loan: HashMap::new(),
+        reconfig_fault: HashMap::new(),
+        reconfig_drift: HashMap::new(),
+        fault_windows: HashMap::new(),
+        degrade_windows: HashMap::new(),
+        completions,
+    };
+    fold_annotations(&mut ctx, &annotations, horizon);
+    ctx
+}
+
+/// Folds loan/fault/reconfig annotations, in global trace order, into the
+/// context's unioned interval sets; windows still open at the end of the
+/// run extend to `horizon`.
+fn fold_annotations(ctx: &mut TailContext, annotations: &[TraceRecord], horizon: u64) {
+    // Latest loan/fault annotation per shard, in global trace order — the
+    // classifier for reconfig downtime that follows it.
+    let mut last_trigger: HashMap<usize, Trigger> = HashMap::new();
+    // Open fail→repair windows keyed by (shard, gpu, shard_level) and open
+    // degrade windows keyed by (shard, gpu).
+    let mut open_fail: HashMap<(usize, usize, bool), u64> = HashMap::new();
+    let mut open_degrade: HashMap<(usize, usize), u64> = HashMap::new();
+
+    for r in annotations {
+        let at = r.at.as_nanos();
+        match r.event {
             TraceEvent::Loan { shard, .. } => {
                 last_trigger.insert(shard, Trigger::Loan);
             }
@@ -258,7 +311,6 @@ fn build_context(trace: &QueryTrace) -> TailContext {
             union_intervals(intervals);
         }
     }
-    ctx
 }
 
 /// Nearest-rank p99 index for `n` sorted samples: `ceil(0.99 n) − 1`.
@@ -348,6 +400,11 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
     }
 }
 
+/// The grid bin a completion at `complete_ns` lands in.
+fn bin_of(complete_ns: u64, window_ns: u64) -> usize {
+    (complete_ns / window_ns) as usize
+}
+
 /// Completions of `group` whose terminal event landed in `bin`, sorted by
 /// `(latency, lane, query)` so the p99 pick is deterministic.
 fn window_completions(
@@ -356,12 +413,10 @@ fn window_completions(
     bin: usize,
     group: usize,
 ) -> Vec<Completion> {
-    let lo = bin as u64 * window_ns;
-    let hi = lo + window_ns;
     let mut rows: Vec<Completion> = ctx
         .completions
         .iter()
-        .filter(|c| c.state.group == group && c.complete_ns >= lo && c.complete_ns < hi)
+        .filter(|c| c.state.group == group && bin_of(c.complete_ns, window_ns) == bin)
         .copied()
         .collect();
     rows.sort_by_key(|c| (c.latency_ns, c.lane, c.query));
@@ -378,7 +433,7 @@ pub fn attribute_window(
     group: usize,
 ) -> Option<WindowAttribution> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
+    let ctx = build_context(trace, |g, at| g == group && bin_of(at, window_ns) == bin);
     attribute_window_in(&ctx, window_ns, bin, group)
 }
 
@@ -403,24 +458,27 @@ fn attribute_window_in(
 #[must_use]
 pub fn worst_window(trace: &QueryTrace, window_ns: u64, group: usize) -> Option<usize> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
-    let bins = ctx
+    let ctx = build_context(trace, |g, _| g == group);
+    // One sort buckets the class's completions by bin, each bucket ordered
+    // as `window_completions` orders it.
+    let mut rows: Vec<(usize, u64, u32, u64)> = ctx
         .completions
         .iter()
-        .filter(|c| c.state.group == group)
-        .map(|c| (c.complete_ns / window_ns) as usize)
-        .max()?
-        + 1;
+        .map(|c| {
+            (
+                bin_of(c.complete_ns, window_ns),
+                c.latency_ns,
+                c.lane,
+                c.query,
+            )
+        })
+        .collect();
+    rows.sort_unstable();
     let mut best: Option<(u64, usize)> = None;
-    for bin in 0..bins {
-        let rows = window_completions(&ctx, window_ns, bin, group);
-        if rows.is_empty() {
-            continue;
-        }
-        let p99 = rows[p99_index(rows.len())].latency_ns;
-        match best {
-            Some((b, _)) if p99 <= b => {}
-            _ => best = Some((p99, bin)),
+    for rows in rows.chunk_by(|a, b| a.0 == b.0) {
+        let p99 = rows[p99_index(rows.len())].1;
+        if best.is_none_or(|(b, _)| p99 > b) {
+            best = Some((p99, rows[0].0));
         }
     }
     best.map(|(_, bin)| bin)
@@ -436,7 +494,12 @@ pub fn attribute_alerts(
     alerts: &[Alert],
 ) -> Vec<WindowAttribution> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
+    let mut windows: Vec<(usize, usize)> = alerts.iter().map(|a| (a.group, a.worst_bin)).collect();
+    windows.sort_unstable();
+    windows.dedup();
+    let ctx = build_context(trace, |g, at| {
+        windows.binary_search(&(g, bin_of(at, window_ns))).is_ok()
+    });
     alerts
         .iter()
         .filter_map(|a| attribute_window_in(&ctx, window_ns, a.worst_bin, a.group))
@@ -497,6 +560,298 @@ mod tests {
                 worker: 0,
                 latency_ns: start + actual - at,
             },
+        );
+    }
+
+    /// Sort-based reference for [`build_context`]: one fold over the
+    /// realized global order with hashed per-query state, keeping every
+    /// completion.
+    fn build_context_reference(trace: &QueryTrace) -> TailContext {
+        let mut states: HashMap<(u32, u64), QueryState> = HashMap::new();
+        let mut completions = Vec::new();
+        for r in trace.records() {
+            let at = r.at.as_nanos();
+            match r.event {
+                TraceEvent::Arrival {
+                    query,
+                    group,
+                    dispatched_ns,
+                    ..
+                } => {
+                    let st = states.entry((r.lane, query)).or_default();
+                    st.group = group;
+                    st.arrival_ns = at;
+                    st.dispatched_ns = dispatched_ns;
+                    st.arrived = true;
+                }
+                TraceEvent::ServiceStart {
+                    query,
+                    clean_ns,
+                    base_ns,
+                    ..
+                } => {
+                    let st = states.entry((r.lane, query)).or_default();
+                    st.last_start_ns = at;
+                    st.clean_ns = clean_ns;
+                    st.base_ns = base_ns;
+                    st.started = true;
+                }
+                TraceEvent::Complete {
+                    query, latency_ns, ..
+                } => {
+                    if let Some(&state) = states.get(&(r.lane, query)) {
+                        if state.arrived && state.started {
+                            completions.push(Completion {
+                                latency_ns,
+                                lane: r.lane,
+                                query,
+                                complete_ns: at,
+                                state,
+                            });
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut ctx = TailContext {
+            reconfig_loan: HashMap::new(),
+            reconfig_fault: HashMap::new(),
+            reconfig_drift: HashMap::new(),
+            fault_windows: HashMap::new(),
+            degrade_windows: HashMap::new(),
+            completions,
+        };
+        fold_annotations(&mut ctx, trace.records(), trace.horizon().as_nanos());
+        ctx
+    }
+
+    /// Per-bin rescan reference for [`worst_window`].
+    fn worst_window_reference(ctx: &TailContext, window_ns: u64, group: usize) -> Option<usize> {
+        let bins = ctx
+            .completions
+            .iter()
+            .filter(|c| c.state.group == group)
+            .map(|c| bin_of(c.complete_ns, window_ns))
+            .max()?
+            + 1;
+        let mut best: Option<(u64, usize)> = None;
+        for bin in 0..bins {
+            let rows = window_completions(ctx, window_ns, bin, group);
+            if rows.is_empty() {
+                continue;
+            }
+            let p99 = rows[p99_index(rows.len())].latency_ns;
+            match best {
+                Some((b, _)) if p99 <= b => {}
+                _ => best = Some((p99, bin)),
+            }
+        }
+        best.map(|(_, bin)| bin)
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the random traces.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A random multi-lane trace on a coarse 10 ns grid, so same-instant
+    /// ties across lanes are common. Each shard lane runs query lifecycles
+    /// (including `ServiceAbort` → `Requeue` → a second `ServiceStart`, and
+    /// queries left waiting or running at the end) and reconfig steps; the
+    /// gateway lane records loans and faults of every kind, keyed either by
+    /// an event key or by [`ANNOTATION_KEY`], with windows left open at the
+    /// end of the run.
+    fn random_lanes(seed: u64) -> Vec<FlightRecorder> {
+        let mut rng = Rng(seed);
+        let shards = 1 + rng.below(3);
+        let mut lanes = Vec::new();
+        for lane in 0..shards {
+            let mut r = FlightRecorder::new(lane as u32);
+            let (mut now, mut arrivals) = (0u64, Vec::new());
+            let (mut waiting, mut running): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+            for _ in 0..150 + rng.below(150) {
+                now += 10 * rng.below(3);
+                match rng.below(10) {
+                    0..=2 => {
+                        let q = arrivals.len() as u64;
+                        let dispatched_ns = now + 10 * rng.below(3);
+                        arrivals.push((now, dispatched_ns));
+                        let group = rng.below(3) as usize;
+                        let event = TraceEvent::Arrival {
+                            query: q,
+                            group,
+                            batch: 1,
+                            dispatched_ns,
+                            sla_ns: 0,
+                        };
+                        r.record(t(now), q, event);
+                        waiting.push(q);
+                    }
+                    3 | 4 => {
+                        let ready = waiting.iter().position(|&q| arrivals[q as usize].1 <= now);
+                        if let Some(i) = ready {
+                            let q = waiting.remove(i);
+                            let clean_ns = 10 * (1 + rng.below(5));
+                            let event = TraceEvent::ServiceStart {
+                                query: q,
+                                worker: 0,
+                                gpcs: 7,
+                                clean_ns,
+                                base_ns: clean_ns + 10 * rng.below(3),
+                                actual_ns: 0,
+                            };
+                            r.record(t(now), q, event);
+                            running.push(q);
+                        }
+                    }
+                    5 | 6 if !running.is_empty() => {
+                        let q = running.swap_remove(rng.below(running.len() as u64) as usize);
+                        let latency_ns = now - arrivals[q as usize].0;
+                        let event = TraceEvent::Complete {
+                            query: q,
+                            worker: 0,
+                            latency_ns,
+                        };
+                        r.record(t(now), q, event);
+                    }
+                    7 if !running.is_empty() => {
+                        let q = running.swap_remove(rng.below(running.len() as u64) as usize);
+                        r.record(
+                            t(now),
+                            q,
+                            TraceEvent::ServiceAbort {
+                                query: q,
+                                worker: 0,
+                            },
+                        );
+                        r.record(t(now), q, TraceEvent::Requeue { query: q });
+                        waiting.push(q);
+                    }
+                    8 => {
+                        let downtime_ns = 10 * (1 + rng.below(8));
+                        let event = TraceEvent::ReconfigStep {
+                            step: 0,
+                            downtime_ns,
+                        };
+                        r.record(t(now), ANNOTATION_KEY, event);
+                    }
+                    _ => {}
+                }
+            }
+            lanes.push(r);
+        }
+        let mut gateway = FlightRecorder::new(shards as u32);
+        let mut now = 0;
+        for _ in 0..30 + rng.below(30) {
+            now += 10 * rng.below(12);
+            let key = if rng.below(2) == 0 {
+                ANNOTATION_KEY
+            } else {
+                rng.below(300)
+            };
+            let shard = rng.below(shards) as usize;
+            let kinds = [
+                FaultKind::GpuFail,
+                FaultKind::GpuRepair,
+                FaultKind::GpuDegrade,
+                FaultKind::GpuRestore,
+                FaultKind::ShardFail,
+                FaultKind::ShardRepair,
+            ];
+            let event = match rng.below(8) as usize {
+                k @ 0..=5 => TraceEvent::Fault {
+                    kind: kinds[k],
+                    shard,
+                    gpu: rng.below(2) as usize,
+                    factor_milli: 0,
+                },
+                _ => TraceEvent::Loan {
+                    shard,
+                    gpus_delta: 1,
+                    pool_free_after: 0,
+                },
+            };
+            gateway.record(t(now), key, event);
+        }
+        lanes.push(gateway);
+        lanes
+    }
+
+    #[test]
+    fn one_pass_context_matches_the_sort_based_reference() {
+        let mut tied = 0;
+        for seed in 0..24 {
+            let lanes = random_lanes(seed);
+            let reference = build_context_reference(&QueryTrace::merge(lanes.clone()));
+            // Same-instant gateway annotations tied with a shard's reconfig
+            // step: the one place the cross-lane order decides the result.
+            let merged = QueryTrace::merge(lanes.clone());
+            let records = merged.records();
+            tied += records
+                .iter()
+                .filter(|g| matches!(g.event, TraceEvent::Loan { .. } | TraceEvent::Fault { .. }))
+                .filter(|g| {
+                    records
+                        .iter()
+                        .any(|s| s.at == g.at && matches!(s.event, TraceEvent::ReconfigStep { .. }))
+                })
+                .count();
+            let mut rng = Rng(seed ^ 0x5eed);
+            for realized in [false, true] {
+                let trace = QueryTrace::merge(lanes.clone());
+                if realized {
+                    let _ = trace.records();
+                }
+                for window_ns in [70, 400] {
+                    let bins = (trace.horizon().as_nanos() / window_ns) as usize + 2;
+                    for group in 0..4 {
+                        assert_eq!(
+                            worst_window(&trace, window_ns, group),
+                            worst_window_reference(&reference, window_ns, group),
+                            "seed {seed} window {window_ns} group {group}"
+                        );
+                        for bin in 0..bins {
+                            assert_eq!(
+                                attribute_window(&trace, window_ns, bin, group),
+                                attribute_window_in(&reference, window_ns, bin, group),
+                                "seed {seed} window {window_ns} bin {bin} group {group}"
+                            );
+                        }
+                    }
+                    let alerts: Vec<Alert> = (0..rng.below(8))
+                        .map(|_| Alert {
+                            slo: 0,
+                            group: rng.below(4) as usize,
+                            fired_bin: 0,
+                            resolved_bin: None,
+                            worst_bin: rng.below(bins as u64) as usize,
+                            burn_short: 1.0,
+                            burn_long: 1.0,
+                        })
+                        .collect();
+                    let want: Vec<WindowAttribution> = alerts
+                        .iter()
+                        .filter_map(|a| {
+                            attribute_window_in(&reference, window_ns, a.worst_bin, a.group)
+                        })
+                        .collect();
+                    assert_eq!(attribute_alerts(&trace, window_ns, &alerts), want);
+                }
+                assert_eq!(trace.is_sorted(), realized, "attribution realized the sort");
+            }
+        }
+        assert!(
+            tied > 0,
+            "no same-instant loan/fault vs reconfig tie generated"
         );
     }
 

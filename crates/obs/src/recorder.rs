@@ -148,8 +148,16 @@ impl TraceSink for FlightRecorder {
 /// per-record push alone, so the overhead number `bench_obs` reports
 /// measures the recorder, not the post-run analysis.
 ///
+/// Analyses that do not need the global order never realize it: [`len`],
+/// [`horizon`] and causal tail attribution (`attribute_window`,
+/// `attribute_alerts`, `worst_window`) read the lane buffers directly
+/// through [`for_each_unordered`].
+///
 /// [`merge`]: QueryTrace::merge
 /// [`records`]: QueryTrace::records
+/// [`len`]: QueryTrace::len
+/// [`horizon`]: QueryTrace::horizon
+/// [`for_each_unordered`]: QueryTrace::for_each_unordered
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
     parts: RefCell<Vec<FlightRecorder>>,
@@ -192,6 +200,36 @@ impl QueryTrace {
         })
     }
 
+    /// Visits every record exactly once without realizing the global sort.
+    ///
+    /// Before [`records`] has run, each lane's records are visited in push
+    /// order, lane by lane in the order the buffers were handed to
+    /// [`merge`]; afterwards the sorted slice is visited. The order is
+    /// therefore unspecified across lanes: use this only for folds whose
+    /// result does not depend on it (a maximum, per-lane state machines).
+    /// `f` must not call [`records`] on this trace.
+    ///
+    /// [`records`]: QueryTrace::records
+    /// [`merge`]: QueryTrace::merge
+    pub fn for_each_unordered(&self, mut f: impl FnMut(&TraceRecord)) {
+        if let Some(records) = self.sorted.get() {
+            records.iter().for_each(f);
+            return;
+        }
+        for part in self.parts.borrow().iter() {
+            for chunk in &part.full {
+                chunk.iter().for_each(&mut f);
+            }
+            part.current.iter().for_each(&mut f);
+        }
+    }
+
+    /// Whether [`records`](QueryTrace::records) has realized the sort.
+    #[cfg(test)]
+    pub(crate) fn is_sorted(&self) -> bool {
+        self.sorted.get().is_some()
+    }
+
     /// Total number of records (does not realize the sort).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -207,14 +245,13 @@ impl QueryTrace {
         self.len() == 0
     }
 
-    /// Latest stamp in the trace, or zero when empty.
+    /// Latest stamp in the trace, or zero when empty (does not realize the
+    /// sort).
     #[must_use]
     pub fn horizon(&self) -> SimTime {
-        self.records()
-            .iter()
-            .map(|r| r.at)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        let mut latest = SimTime::ZERO;
+        self.for_each_unordered(|r| latest = latest.max(r.at));
+        latest
     }
 
     /// A copy of this trace with `extra` records (e.g. SLO alert
@@ -298,6 +335,46 @@ mod tests {
         let keys: Vec<u64> = annotated.records().iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![1, ANNOTATION_KEY, 2]);
         assert_eq!(trace.len(), 2, "original untouched");
+    }
+
+    #[test]
+    fn for_each_unordered_visits_every_record_once_in_both_states() {
+        let t = SimTime::from_nanos;
+        // Lane 1 stamps out of global order relative to lane 0, and spans
+        // more than one arena chunk.
+        let mut a = FlightRecorder::new(1);
+        for i in 0..(CHUNK as u64 + 5) {
+            a.record(t(2 * i), i, ev(i));
+        }
+        let mut b = FlightRecorder::new(0);
+        for i in 0..7u64 {
+            b.record(t(3 * i + 1), ANNOTATION_KEY, ev(i));
+        }
+        let expected: Vec<(u32, u64)> = (0..(CHUNK as u64 + 5))
+            .map(|i| (1, i))
+            .chain((0..7).map(|i| (0, i)))
+            .collect();
+        let trace = QueryTrace::merge([a, b]);
+        let visit = |trace: &QueryTrace| {
+            let mut seen = Vec::new();
+            trace.for_each_unordered(|r| seen.push((r.lane, r.seq)));
+            seen
+        };
+        // Unsorted: lane push order, lanes in hand-in order, and the visit
+        // leaves the sort unrealized.
+        assert_eq!(visit(&trace), expected);
+        assert!(!trace.is_sorted(), "visit realized the sort");
+        assert_eq!(trace.horizon(), t(2 * CHUNK as u64 + 8));
+        assert!(!trace.is_sorted(), "horizon realized the sort");
+        // Sorted: the global order, every record exactly once.
+        let global: Vec<(u32, u64)> = trace.records().iter().map(|r| (r.lane, r.seq)).collect();
+        assert_eq!(visit(&trace), global);
+        let mut once = global.clone();
+        once.sort_unstable();
+        let mut want = expected;
+        want.sort_unstable();
+        assert_eq!(once, want, "every record exactly once");
+        assert_eq!(trace.horizon(), t(2 * CHUNK as u64 + 8));
     }
 
     #[test]

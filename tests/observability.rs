@@ -20,7 +20,8 @@ use paris_elsa::faults::{
     run_with_faults_windowed_traced, FaultPlan, FaultTopology,
 };
 use paris_elsa::obs::{
-    alert_records, analyze, check_conservation, evaluate_slos, MetricRegistry, QueryTrace, SloSpec,
+    alert_records, analyze, attribute_alerts, attribute_window, check_conservation, evaluate_slos,
+    worst_window, MetricRegistry, QueryTrace, SloSpec, WindowAttribution,
 };
 use paris_elsa::prelude::*;
 use proptest::prelude::*;
@@ -403,4 +404,80 @@ proptest! {
             window
         );
     }
+}
+
+/// FNV-1a over a value's full `Debug` rendering: a stable fingerprint
+/// (unlike `DefaultHasher`, fixed across toolchains).
+fn debug_fingerprint(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Golden values for causal tail attribution on one instrumented, faulted
+/// fleet: JSQ routing, a loan pool, brownout shedding and two rack outages
+/// whose capacity loss triggers loans, so loan-handover, fault-recovery and
+/// outage waits all show up in the attributed windows. Attribution has no
+/// thread-count or online/oracle twin to be compared against, so these
+/// pinned numbers are what catch a fold that reorders or drops records.
+#[test]
+fn alert_attribution_matches_golden_values() {
+    let table = mobilenet_table();
+    let sla_shard = || {
+        let dist = BatchDistribution::paper_default();
+        MultiModelServer::new(
+            vec![
+                ModelSpec::new("premium", table.clone(), dist.clone()).with_sla_ns(20_000_000),
+                ModelSpec::new("batch", table.clone(), dist).with_sla_ns(50_000_000),
+            ],
+            GpcBudget::new(14, 2),
+            MultiModelConfig::new().with_detail(ReportDetail::Summary),
+        )
+        .expect("shard plan builds")
+    };
+    let cluster = Cluster::new(
+        vec![sla_shard(), sla_shard()],
+        RouterPolicy::JoinShortestQueue,
+    )
+    .with_loan(LoanPolicy::new(2, 0.1))
+    .with_shed(ShedPolicy::new(vec![0, 1]).with_margin(0.5));
+    let trace_in = arrivals(&cluster, 1.5, 0.9, 11);
+    let topology = FaultTopology::racks(&[2, 2], 2);
+    let plan = FaultPlan::new()
+        .with_domain_outage(&topology, "rack0", 0.4, 0.7)
+        .with_domain_outage(&topology, "rack1", 1.1, 1.3);
+    let window_ns = 100_000_000;
+    let (_, trace, registry) = run_with_faults_windowed_instrumented(
+        &cluster,
+        trace_in.iter().copied().map(|tq| (None, tq)),
+        ReportDetail::Summary,
+        &plan,
+        SyncWindow::PerEvent,
+        1,
+        window_ns,
+    );
+    let specs = [
+        SloSpec::new("premium-avail", 0, 0.9).with_windows(1, 3),
+        SloSpec::new("batch-avail", 1, 0.9).with_windows(1, 3),
+    ];
+    let alerts = evaluate_slos(&registry, &specs);
+    let attributions = attribute_alerts(&trace, window_ns, &alerts);
+    let worst: Vec<Option<usize>> = (0..2).map(|g| worst_window(&trace, window_ns, g)).collect();
+    // Every window of both classes, not only the alerted ones.
+    let bins = (trace.horizon().as_nanos() / window_ns) as usize + 1;
+    let windows: Vec<WindowAttribution> = (0..2)
+        .flat_map(|g| (0..bins).map(move |b| (g, b)))
+        .filter_map(|(g, b)| attribute_window(&trace, window_ns, b, g))
+        .collect();
+    for a in attributions.iter().chain(&windows) {
+        assert_eq!(a.causes_sum(), a.excess_ns, "zero residual");
+    }
+    assert_eq!(alerts.len(), 3);
+    assert_eq!(attributions.len(), 3);
+    assert_eq!(debug_fingerprint(&attributions), 0xfb0e_603f_66b4_6b65);
+    assert_eq!(worst, [Some(15), Some(15)]);
+    assert_eq!(windows.len(), 32);
+    assert_eq!(debug_fingerprint(&windows), 0xda4f_4304_c4f9_4b68);
 }
