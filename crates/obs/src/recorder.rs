@@ -52,7 +52,7 @@ const CHUNK: usize = 1024;
 
 /// A per-lane append-only trace buffer.
 ///
-/// Storage is a chunked arena (like the server's `Gantt`): appending never
+/// Storage is a chunked arena: appending never
 /// moves earlier records, so a hot lane recording tens of thousands of
 /// events never pays the doubling-growth memcpy of a flat `Vec` — the push
 /// is the recorder's entire hot-path cost.

@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 
 use des_engine::{SimDuration, SimTime};
-use inference_obs::{FlightRecorder, ObsSink, TraceEvent, TraceSink, ANNOTATION_KEY};
+use inference_obs::{ObsSink, TraceEvent, TraceSink, ANNOTATION_KEY};
 use inference_workload::QuerySpec;
 use mig_gpu::ProfileSize;
 use paris_core::{
@@ -46,7 +46,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
-use crate::gantt::{Gantt, Span};
 use crate::multi::{ModelReport, MultiRunReport, ReconfigEvent};
 use crate::query::{Query, QueryId, QueryRecord};
 use crate::server::{ReportDetail, RunReport, SchedulerKind};
@@ -140,8 +139,6 @@ pub struct CoreConfig {
     pub noise_seed: u64,
     /// How much per-query material the run keeps.
     pub detail: ReportDetail,
-    /// Record a per-instance execution Gantt trace.
-    pub record_gantt: bool,
     /// Whether schedulers *see* per-slot degrade factors
     /// ([`DispatchCore::set_degrade`]): when `true` (the default
     /// everywhere), ELSA's estimates are inflated on slow slots so
@@ -240,7 +237,6 @@ pub struct DispatchCore<'a> {
     reconfig: Option<ReconfigRun>,
     reconfigs: Vec<ReconfigEvent>,
     noise_rng: StdRng,
-    gantt: Option<Gantt>,
     records: Vec<QueryRecord>,
     record_groups: Vec<usize>,
     latency: LatencyRecorder,
@@ -319,9 +315,6 @@ impl<'a> DispatchCore<'a> {
                 stash: VecDeque::new(),
             });
         }
-        let gantt = config
-            .record_gantt
-            .then(|| Gantt::new(slots.iter().map(|s| s.worker.size()).collect()));
         let per_group = specs
             .iter()
             .map(|_| GroupAccum {
@@ -340,7 +333,6 @@ impl<'a> DispatchCore<'a> {
             groups,
             reconfig: None,
             reconfigs: Vec::new(),
-            gantt,
             records: Vec::new(),
             record_groups: Vec::new(),
             latency: LatencyRecorder::new(),
@@ -438,28 +430,17 @@ impl<'a> DispatchCore<'a> {
         )
     }
 
-    /// Attaches a flight recorder; every lifecycle and annotation event
-    /// from here on lands in its buffer. Attach before driving any events
-    /// so the trace's conservation invariant (one arrival, one terminal)
-    /// holds.
-    pub fn set_trace(&mut self, recorder: FlightRecorder) {
-        self.set_sink(ObsSink::trace_only(recorder));
-    }
-
-    /// Detaches and returns the flight recorder, if one was attached.
-    /// Call before [`finish`](DispatchCore::finish) (which drops it).
-    pub fn take_trace(&mut self) -> Option<FlightRecorder> {
-        self.take_sink().and_then(|s| s.trace)
-    }
-
     /// Attaches an observability sink — a flight recorder, an online
     /// telemetry lane, or both halves at once. Empty sinks are dropped so
-    /// the hooks stay on the zero-cost disabled path.
+    /// the hooks stay on the zero-cost disabled path. Attach before driving
+    /// any events so a trace's conservation invariant (one arrival, one
+    /// terminal) holds.
     pub fn set_sink(&mut self, sink: ObsSink) {
         self.trace = (!sink.is_empty()).then(|| Box::new(sink));
     }
 
     /// Detaches and returns the observability sink, if one was attached.
+    /// Call before [`finish`](DispatchCore::finish) (which drops it).
     pub fn take_sink(&mut self) -> Option<ObsSink> {
         self.trace.take().map(|b| *b)
     }
@@ -725,15 +706,6 @@ impl<'a> DispatchCore<'a> {
             });
             self.record_groups.push(g);
         }
-        if let Some(gantt) = &mut self.gantt {
-            gantt.push(Span {
-                partition: w,
-                query: query.id,
-                batch: query.batch,
-                start: started,
-                end: now,
-            });
-        }
 
         if self.slots[w].retiring {
             // A quiesced partition serves out its own local queue, then
@@ -855,9 +827,6 @@ impl<'a> DispatchCore<'a> {
                 if !touched.contains(&g) {
                     touched.push(g);
                 }
-            }
-            if let Some(gantt) = &mut self.gantt {
-                gantt.mark_outage(w, now);
             }
         }
         for &g in &touched {
@@ -1166,10 +1135,6 @@ impl<'a> DispatchCore<'a> {
             self.rows.push(self.specs[g].table.latency_row(size));
             self.max_batch.push(self.specs[g].table.max_batch());
             self.groups[g].members.push(w);
-            if let Some(gantt) = &mut self.gantt {
-                let row = gantt.add_partition(size);
-                debug_assert_eq!(row, w, "gantt rows track worker slots");
-            }
         }
         // Only groups that gained instances have new capacity to rebuild
         // around and backlog to flush; removal-only groups were rebuilt at
@@ -1283,7 +1248,6 @@ impl<'a> DispatchCore<'a> {
             partition_sizes: self.slots.iter().map(|s| s.worker.size()).collect(),
             partition_models: self.slots.iter().map(|s| s.group).collect(),
             reconfigs: self.reconfigs,
-            gantt: self.gantt,
             peak_pending_events,
         }
     }
@@ -1315,7 +1279,6 @@ impl<'a> DispatchCore<'a> {
             makespan: multi.makespan,
             achieved_qps: multi.achieved_qps,
             partition_utilization: multi.partition_utilization,
-            gantt: multi.gantt,
             peak_pending_events,
             sla_ns,
             sla_violations,
@@ -1352,7 +1315,6 @@ mod tests {
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,
-            record_gantt: false,
             degrade_visible: true,
         }
     }

@@ -1,265 +1,82 @@
-//! Execution-trace recording and ASCII rendering (the Figure 5 / Figure 10
-//! style timelines).
+//! ASCII execution timelines (the Figure 5 / Figure 10 style Gantt
+//! charts), rendered from a full-detail run's query records.
 
 use std::fmt;
 
-use des_engine::SimTime;
 use mig_gpu::ProfileSize;
 
-use crate::query::QueryId;
+use crate::query::QueryRecord;
 
-/// One execution interval of one query on one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Partition index.
-    pub partition: usize,
-    /// The executed query.
-    pub query: QueryId,
-    /// The query's batch size.
-    pub batch: usize,
-    /// Execution start.
-    pub start: SimTime,
-    /// Execution end.
-    pub end: SimTime,
-}
-
-/// One outage interval of one partition row: the span between a fault
-/// killing the instance and — for rows that come back, which killed rows
-/// never do — the repair. Rendered as `×` cells so a timeline shows the
-/// outage window next to the executions around it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutageSpan {
-    /// Partition (timeline row) index.
-    pub partition: usize,
-    /// When the fault struck.
-    pub start: SimTime,
-    /// When the row recovered; `None` for a row that stayed dark (the
-    /// repair brought *new* instances up on their own rows).
-    pub end: Option<SimTime>,
-}
-
-/// Spans per arena chunk. Chunks are fixed-size and never reallocated, so
-/// pushing a span never moves previously recorded spans and a long traced
-/// run costs one allocation per `CHUNK` completions instead of the
-/// amortized-doubling copies of a flat `Vec`.
-const CHUNK: usize = 1024;
-
-/// A complete execution trace of a run, renderable as an ASCII timeline.
-///
-/// Spans live in a **chunked arena**: fixed-capacity chunks appended as
-/// they fill. Long traced runs therefore stay allocation-free between
-/// chunk boundaries (no doubling copies), and span storage is
-/// cache-friendly for the linear scans rendering performs.
+/// A borrowed timeline view: each [`QueryRecord`] renders as its
+/// `started..completed` interval on row `partition`. It records nothing —
+/// the records come from a [`ReportDetail::Full`](crate::ReportDetail::Full)
+/// run's report (`report.records`), the rows from the server's partitions
+/// ([`InferenceServer::partitions`](crate::InferenceServer::partitions)) or
+/// a multi-model report's
+/// [`partition_sizes`](crate::MultiRunReport::partition_sizes), which also
+/// cover instances created mid-run.
 ///
 /// # Examples
 ///
 /// ```
 /// use des_engine::SimTime;
-/// use inference_server::{Gantt, Span};
-/// use inference_server::QueryId;
+/// use inference_server::{Gantt, QueryId, QueryRecord};
 /// use mig_gpu::ProfileSize;
 ///
-/// let mut gantt = Gantt::new(vec![ProfileSize::G1, ProfileSize::G7]);
-/// gantt.push(Span {
-///     partition: 0,
-///     query: QueryId(0),
+/// let t = SimTime::from_nanos;
+/// let records = [QueryRecord {
+///     id: QueryId(0),
 ///     batch: 4,
-///     start: SimTime::from_nanos(0),
-///     end: SimTime::from_nanos(500),
-/// });
-/// assert_eq!(gantt.len(), 1);
-/// let art = gantt.render_ascii(40);
+///     arrival: t(0),
+///     dispatched: t(0),
+///     started: t(0),
+///     completed: t(500),
+///     partition: 0,
+/// }];
+/// let sizes = [ProfileSize::G1, ProfileSize::G7];
+/// let art = Gantt::new(&sizes, &records).render_ascii(40);
 /// assert!(art.contains("GPU(1)"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gantt {
-    partition_sizes: Vec<ProfileSize>,
-    /// Arena chunks: every chunk but the last holds exactly [`CHUNK`]
-    /// spans, so `chunks` comparison/indexing is well-defined.
-    chunks: Vec<Vec<Span>>,
-    len: usize,
-    /// Fault outage windows, in marking order (few per run).
-    outages: Vec<OutageSpan>,
+#[derive(Debug, Clone, Copy)]
+pub struct Gantt<'a> {
+    partition_sizes: &'a [ProfileSize],
+    records: &'a [QueryRecord],
 }
 
-impl Gantt {
-    /// Creates an empty trace for the given partitions.
+impl<'a> Gantt<'a> {
+    /// A timeline with one row per entry of `partition_sizes`, drawing
+    /// every record on its partition's row.
     #[must_use]
-    pub fn new(partition_sizes: Vec<ProfileSize>) -> Self {
+    pub fn new(partition_sizes: &'a [ProfileSize], records: &'a [QueryRecord]) -> Self {
         Gantt {
             partition_sizes,
-            chunks: Vec::new(),
-            len: 0,
-            outages: Vec::new(),
+            records,
         }
     }
 
-    /// Records one execution span.
-    pub fn push(&mut self, span: Span) {
-        if self.len % CHUNK == 0 {
-            self.chunks.push(Vec::with_capacity(CHUNK));
-        }
-        self.chunks
-            .last_mut()
-            .expect("chunk ensured above")
-            .push(span);
-        self.len += 1;
-    }
-
-    /// Appends a timeline row for a partition created mid-run (an online
-    /// reconfiguration or a cluster capacity loan brought a new instance
-    /// up) and returns its row index. Spans pushed for that instance must
-    /// use the returned index.
-    pub fn add_partition(&mut self, size: ProfileSize) -> usize {
-        self.partition_sizes.push(size);
-        self.partition_sizes.len() - 1
-    }
-
-    /// Number of recorded spans.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no span has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// All recorded spans, in completion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Span> {
-        self.chunks.iter().flatten()
-    }
-
-    /// The `i`-th recorded span (completion order), if it exists. O(1) —
-    /// the arena's chunk geometry is fixed.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<&Span> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
-    }
-
-    /// The partition profile behind each timeline row.
-    #[must_use]
-    pub fn partition_sizes(&self) -> &[ProfileSize] {
-        &self.partition_sizes
-    }
-
-    /// Marks row `partition` as killed by a fault at `start` — it renders
-    /// as `×` from there on (or to [`close_outage`](Self::close_outage)).
-    pub fn mark_outage(&mut self, partition: usize, start: SimTime) {
-        self.outages.push(OutageSpan {
-            partition,
-            start,
-            end: None,
-        });
-    }
-
-    /// Closes the most recent open outage on `partition` at `end` (no-op
-    /// if the row holds none).
-    pub fn close_outage(&mut self, partition: usize, end: SimTime) {
-        if let Some(o) = self
-            .outages
-            .iter_mut()
-            .rev()
-            .find(|o| o.partition == partition && o.end.is_none())
-        {
-            o.end = Some(end);
-        }
-    }
-
-    /// The recorded fault outage windows, in marking order.
-    #[must_use]
-    pub fn outages(&self) -> &[OutageSpan] {
-        &self.outages
-    }
-
-    /// Appends the trace to a Chrome `trace_event` writer: execution spans
-    /// as `ph:"X"` slices on `(pid, tid = partition row)` and outage
-    /// windows — the ASCII renderer's `×` cells — as `×outage` slices on
-    /// the same rows, so chrome://tracing / Perfetto shows queries and
-    /// outages on one timeline. An outage still open at the end of the
-    /// trace extends to the trace horizon, mirroring
-    /// [`render_ascii`](Self::render_ascii).
-    pub fn write_chrome_trace(&self, w: &mut inference_obs::ChromeTraceWriter, pid: u32) {
-        for span in self.iter() {
-            w.complete_slice(
-                &format!("q{} b{}", span.query.0, span.batch),
-                "exec",
-                pid,
-                span.partition as u32,
-                span.start.as_micros_f64(),
-                (span.end.saturating_since(span.start)).as_micros_f64(),
-            );
-        }
-        if self.outages.is_empty() {
-            return;
-        }
-        let horizon_ns = self
-            .iter()
-            .map(|s| s.end.as_nanos())
-            .chain(
-                self.outages
-                    .iter()
-                    .map(|o| o.end.unwrap_or(o.start).as_nanos()),
-            )
-            .max()
-            .unwrap_or(0);
-        let horizon = SimTime::from_nanos(horizon_ns);
-        for o in &self.outages {
-            let end = o.end.unwrap_or(horizon).max(o.start);
-            w.complete_slice(
-                "\u{d7}outage",
-                "outage",
-                pid,
-                o.partition as u32,
-                o.start.as_micros_f64(),
-                end.saturating_since(o.start).as_micros_f64(),
-            );
-        }
-    }
-
-    /// Renders the trace as one text row per partition, `width` characters
-    /// of timeline. Busy cells show the last digit of the query id; idle
-    /// cells show `·`.
+    /// Renders the timeline as one text row per partition, `width`
+    /// characters of timeline. Busy cells show the last digit of the query
+    /// id; idle cells show `·`.
     #[must_use]
     pub fn render_ascii(&self, width: usize) -> String {
         let width = width.max(10);
         let horizon = self
+            .records
             .iter()
-            .map(|s| s.end.as_nanos())
-            .chain(
-                self.outages
-                    .iter()
-                    .map(|o| o.end.unwrap_or(o.start).as_nanos()),
-            )
+            .map(|r| r.completed.as_nanos())
             .max()
             .unwrap_or(1)
             .max(1);
+        let cell = |t: u64| (t as u128 * width as u128 / horizon as u128) as usize;
         let mut out = String::new();
         for (p, size) in self.partition_sizes.iter().enumerate() {
             let mut cells = vec!['\u{b7}'; width];
-            for span in self.iter().filter(|s| s.partition == p) {
-                let lo = (span.start.as_nanos() as u128 * width as u128 / horizon as u128) as usize;
-                let hi = (span.end.as_nanos() as u128 * width as u128 / horizon as u128) as usize;
-                let hi = hi.clamp(lo + 1, width);
-                let digit = char::from_digit((span.query.0 % 10) as u32, 10).unwrap_or('#');
-                for cell in cells.iter_mut().take(hi).skip(lo.min(width - 1)) {
-                    *cell = digit;
-                }
-            }
-            for outage in self.outages.iter().filter(|o| o.partition == p) {
-                let lo =
-                    (outage.start.as_nanos() as u128 * width as u128 / horizon as u128) as usize;
-                if lo >= width {
-                    continue;
-                }
-                let hi = outage.end.map_or(width, |e| {
-                    (e.as_nanos() as u128 * width as u128 / horizon as u128) as usize
-                });
-                let hi = hi.clamp(lo + 1, width);
-                for cell in cells.iter_mut().take(hi).skip(lo) {
-                    *cell = '\u{d7}';
+            for r in self.records.iter().filter(|r| r.partition == p) {
+                let lo = cell(r.started.as_nanos());
+                let hi = cell(r.completed.as_nanos()).clamp(lo + 1, width);
+                let digit = char::from_digit((r.id.0 % 10) as u32, 10).unwrap_or('#');
+                for c in cells.iter_mut().take(hi).skip(lo.min(width - 1)) {
+                    *c = digit;
                 }
             }
             out.push_str(&format!("{size:>7} \u{2502}"));
@@ -270,16 +87,7 @@ impl Gantt {
     }
 }
 
-impl<'a> IntoIterator for &'a Gantt {
-    type Item = &'a Span;
-    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<Span>>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.chunks.iter().flatten()
-    }
-}
-
-impl fmt::Display for Gantt {
+impl fmt::Display for Gantt<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render_ascii(72))
     }
@@ -288,139 +96,46 @@ impl fmt::Display for Gantt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryId;
+    use des_engine::SimTime;
 
-    fn span(partition: usize, id: u64, start: u64, end: u64) -> Span {
-        Span {
-            partition,
-            query: QueryId(id),
+    fn record(partition: usize, id: u64, start: u64, end: u64) -> QueryRecord {
+        QueryRecord {
+            id: QueryId(id),
             batch: 1,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
+            arrival: SimTime::from_nanos(start),
+            dispatched: SimTime::from_nanos(start),
+            started: SimTime::from_nanos(start),
+            completed: SimTime::from_nanos(end),
+            partition,
         }
     }
 
     #[test]
     fn render_has_one_row_per_partition() {
-        let mut g = Gantt::new(vec![ProfileSize::G1, ProfileSize::G2, ProfileSize::G7]);
-        g.push(span(0, 1, 0, 100));
-        let art = g.render_ascii(40);
+        let sizes = [ProfileSize::G1, ProfileSize::G2, ProfileSize::G7];
+        let art = Gantt::new(&sizes, &[record(0, 1, 0, 100)]).render_ascii(40);
         assert_eq!(art.lines().count(), 3);
         assert!(art.contains("GPU(2)"));
     }
 
     #[test]
     fn busy_cells_show_query_digit() {
-        let mut g = Gantt::new(vec![ProfileSize::G1]);
-        g.push(span(0, 7, 0, 1_000));
-        let art = g.render_ascii(20);
-        assert!(art.contains('7'));
+        let records = [record(0, 7, 0, 1_000), record(1, 3, 500, 1_000)];
+        let art = Gantt::new(&[ProfileSize::G1, ProfileSize::G2], &records).render_ascii(20);
+        let rows: Vec<&str> = art.lines().collect();
+        assert!(rows[0].contains('7') && !rows[0].contains('3'), "{art}");
+        // Row 1 is idle until its query starts halfway through.
+        assert!(rows[1].contains("\u{b7}3"), "{art}");
     }
 
     #[test]
-    fn empty_gantt_renders_idle_rows() {
-        let g = Gantt::new(vec![ProfileSize::G3]);
-        let art = g.render_ascii(10);
-        assert!(art.contains('\u{b7}'));
-    }
-
-    #[test]
-    fn partitions_added_mid_run_get_their_own_rows() {
-        let mut g = Gantt::new(vec![ProfileSize::G1]);
-        g.push(span(0, 1, 0, 100));
-        let row = g.add_partition(ProfileSize::G7);
-        assert_eq!(row, 1);
-        g.push(span(row, 2, 100, 300));
-        let art = g.render_ascii(30);
-        assert_eq!(art.lines().count(), 2);
-        assert!(art.contains("GPU(7)"));
-    }
-
-    #[test]
-    fn outage_windows_render_as_dead_cells() {
-        let mut g = Gantt::new(vec![ProfileSize::G1, ProfileSize::G2]);
-        g.push(span(0, 1, 0, 400));
-        g.push(span(1, 2, 0, 1_000));
-        // Row 0 dies at t=400 and never comes back.
-        g.mark_outage(0, SimTime::from_nanos(400));
-        assert_eq!(g.outages().len(), 1);
-        assert!(g.outages()[0].end.is_none());
-        let art = g.render_ascii(20);
-        let row0 = art.lines().next().expect("row 0");
-        assert!(row0.contains('\u{d7}'), "outage cells visible: {row0}");
-        let row1 = art.lines().nth(1).expect("row 1");
-        assert!(!row1.contains('\u{d7}'), "healthy row unaffected: {row1}");
-        // A closed outage stops rendering at its end.
-        g.close_outage(0, SimTime::from_nanos(600));
-        assert_eq!(g.outages()[0].end, Some(SimTime::from_nanos(600)));
-        let art = g.render_ascii(20);
-        let row0 = art.lines().next().expect("row 0");
-        assert!(
-            row0.trim_end().ends_with('\u{b7}'),
-            "idle after repair: {row0}"
-        );
-        // Closing a row with no open outage is a no-op.
-        g.close_outage(1, SimTime::from_nanos(700));
-        assert_eq!(g.outages().len(), 1);
-    }
-
-    #[test]
-    fn chrome_trace_covers_spans_and_outages() {
-        let mut g = Gantt::new(vec![ProfileSize::G1, ProfileSize::G2]);
-        g.push(span(0, 1, 0, 400));
-        g.push(span(1, 2, 0, 1_000));
-        // Row 0 dies at t=400 and never recovers: the slice must extend to
-        // the trace horizon (1 µs), like render_ascii's `×` cells.
-        g.mark_outage(0, SimTime::from_nanos(400));
-        let mut w = inference_obs::ChromeTraceWriter::new();
-        g.write_chrome_trace(&mut w, 3);
-        assert_eq!(w.events(), 3);
-        let doc = w.finish();
-        assert!(doc.contains("\"name\":\"q1 b1\""), "{doc}");
-        assert!(doc.contains("\u{d7}outage"), "{doc}");
-        assert!(doc.contains("\"pid\":3"), "{doc}");
-        assert!(
-            doc.contains("\"cat\":\"outage\",\"ph\":\"X\",\"ts\":0.4,\"dur\":0.6"),
-            "open outage runs 0.4–1.0 µs: {doc}"
-        );
-    }
-
-    #[test]
-    fn spans_are_recorded_in_order() {
-        let mut g = Gantt::new(vec![ProfileSize::G1]);
-        g.push(span(0, 1, 0, 10));
-        g.push(span(0, 2, 10, 30));
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.get(1).unwrap().query, QueryId(2));
-        assert!(g.get(2).is_none());
-    }
-
-    #[test]
-    fn arena_preserves_order_and_indexing_across_chunks() {
-        // Push well past one chunk: every span stays reachable in order,
-        // both through the iterator and through O(1) indexing.
-        let mut g = Gantt::new(vec![ProfileSize::G1]);
-        let n = 3 * CHUNK + 17;
-        for i in 0..n {
-            g.push(span(0, i as u64, i as u64 * 10, i as u64 * 10 + 5));
-        }
-        assert_eq!(g.len(), n);
-        assert!(!g.is_empty());
-        for (i, s) in g.iter().enumerate() {
-            assert_eq!(s.query, QueryId(i as u64));
-        }
-        assert_eq!(g.get(CHUNK).unwrap().query, QueryId(CHUNK as u64));
-        assert_eq!(g.get(n - 1).unwrap().query, QueryId(n as u64 - 1));
-        assert!(g.get(n).is_none());
-        assert!((&g).into_iter().count() == n);
-        // The arena property itself: every chunk but the last holds
-        // exactly CHUNK spans and never grew past its fixed capacity —
-        // a regression to one doubling Vec would fail here.
-        assert_eq!(g.chunks.len(), n.div_ceil(CHUNK));
-        for (i, chunk) in g.chunks.iter().enumerate() {
-            assert_eq!(chunk.capacity(), CHUNK, "chunk {i} reallocated");
-            if i + 1 < g.chunks.len() {
-                assert_eq!(chunk.len(), CHUNK, "interior chunk {i} not full");
-            }
-        }
+    fn rows_without_records_render_idle() {
+        let art = Gantt::new(&[ProfileSize::G3], &[]).render_ascii(10);
+        assert_eq!(art.matches('\u{b7}').count(), 10);
+        let art = Gantt::new(&[ProfileSize::G1, ProfileSize::G3], &[record(0, 1, 0, 100)])
+            .render_ascii(10);
+        let idle = art.lines().nth(1).expect("row 1");
+        assert_eq!(idle.matches('\u{b7}').count(), 10, "{art}");
     }
 }

@@ -17,7 +17,8 @@
 //!   measurement procedures behind Figures 11–13,
 //! * [`Testbed`] / [`DesignPoint`] — the six evaluated designs with the
 //!   Table I budgets,
-//! * [`Gantt`] — Figure 5/10-style execution timelines.
+//! * [`Gantt`] — Figure 5/10-style execution timelines, a view over a
+//!   full-detail run's [`QueryRecord`]s.
 //!
 //! # Hot path invariants
 //!
@@ -65,7 +66,7 @@ mod worker;
 
 pub use designs::{paper_budgets, DesignPoint, Testbed};
 pub use dispatch::{CoreConfig, DispatchCore, GroupSpec, ShardEvent};
-pub use gantt::{Gantt, OutageSpan, Span};
+pub use gantt::Gantt;
 pub use multi::{
     split_budget, ModelReport, ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport,
     ReconfigEvent, ReplanPolicy, ReplanRequest, ShardEngine,

@@ -51,7 +51,6 @@ use paris_core::{
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
 use crate::dispatch::{CoreConfig, DispatchCore, GroupSpec, ShardEvent};
-use crate::gantt::Gantt;
 use crate::query::QueryRecord;
 use crate::server::{ReportDetail, SchedulerKind};
 
@@ -200,10 +199,6 @@ pub struct MultiModelConfig {
     pub noise_seed: u64,
     /// How much per-query material runs keep.
     pub detail: ReportDetail,
-    /// Record a per-instance execution Gantt trace (costs memory; off for
-    /// sweeps). Instances created by mid-run reconfigurations get their own
-    /// timeline rows.
-    pub record_gantt: bool,
     /// Online re-planning policy; `None` freezes the initial plan.
     pub replan: Option<ReplanPolicy>,
     /// Whether schedulers see slow-GPU degrade factors (`true`, the
@@ -223,7 +218,6 @@ impl MultiModelConfig {
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,
-            record_gantt: false,
             replan: None,
             degrade_visible: true,
         }
@@ -235,13 +229,6 @@ impl MultiModelConfig {
     #[must_use]
     pub fn with_degrade_blind(mut self) -> Self {
         self.degrade_visible = false;
-        self
-    }
-
-    /// Enables Gantt-trace recording.
-    #[must_use]
-    pub fn with_gantt(mut self) -> Self {
-        self.record_gantt = true;
         self
     }
 
@@ -466,11 +453,6 @@ pub struct MultiRunReport {
     pub partition_models: Vec<usize>,
     /// Every completed mid-run reconfiguration, in order.
     pub reconfigs: Vec<ReconfigEvent>,
-    /// Per-instance execution trace, when requested via
-    /// [`MultiModelConfig::with_gantt`]. Rows index the same space as
-    /// [`partition_sizes`](Self::partition_sizes), including instances
-    /// created mid-run.
-    pub gantt: Option<Gantt>,
     /// High-water mark of the DES event queue (stays O(partitions)).
     pub peak_pending_events: usize,
 }
@@ -819,7 +801,6 @@ impl<'a> ShardEngine<'a> {
                 service_noise: server.config.service_noise,
                 noise_seed: server.config.noise_seed,
                 detail,
-                record_gantt: server.config.record_gantt,
                 degrade_visible: server.config.degrade_visible,
             },
         );
@@ -840,21 +821,10 @@ impl<'a> ShardEngine<'a> {
         }
     }
 
-    /// Attaches a flight recorder: the dispatch core records the full
-    /// lifecycle of every query it handles (invariant 12 — attaching a
-    /// recorder never changes simulation behaviour or report bytes).
-    pub fn set_trace(&mut self, recorder: inference_obs::FlightRecorder) {
-        self.core.set_trace(recorder);
-    }
-
-    /// Detaches and returns the flight recorder, if one was attached.
-    pub fn take_trace(&mut self) -> Option<inference_obs::FlightRecorder> {
-        self.core.take_trace()
-    }
-
     /// Attaches an observability sink (trace half, online half, or both)
-    /// to the dispatch core. Same invariant-12 contract as
-    /// [`set_trace`](ShardEngine::set_trace).
+    /// to the dispatch core: it records the full lifecycle of every query
+    /// the core handles (invariant 12 — attaching a sink never changes
+    /// simulation behaviour or report bytes).
     pub fn set_sink(&mut self, sink: inference_obs::ObsSink) {
         self.core.set_sink(sink);
     }
@@ -1128,6 +1098,7 @@ impl<'a> ShardEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Gantt;
     use dnn_zoo::ModelKind;
     use inference_workload::{MultiTraceGenerator, PhaseSpec};
     use mig_gpu::{DeviceSpec, PerfModel};
@@ -1309,11 +1280,11 @@ mod tests {
     }
 
     #[test]
-    fn gantt_tracks_every_query_across_models_and_reconfigs() {
-        // The multi-model Gantt wiring: every completion leaves exactly one
-        // span, rows cover every instance that ever existed — including
-        // ones created by a mid-run re-plan — and span rows agree with the
-        // records' partition indices.
+    fn gantt_rows_cover_instances_created_by_a_replan() {
+        // The timeline over a multi-model report: the drift re-plans, and
+        // the rendered rows cover every instance that ever existed —
+        // including ones the re-plan created — with every record's
+        // partition index landing on one of them.
         let dist = BatchDistribution::paper_default();
         let policy = ReplanPolicy::new(0.25);
         let server = MultiModelServer::new(
@@ -1322,23 +1293,21 @@ mod tests {
                 ModelSpec::new("resnet50", table(ModelKind::ResNet50), dist),
             ],
             GpcBudget::new(48, 8),
-            MultiModelConfig::new().with_gantt().with_replan(policy),
+            MultiModelConfig::new().with_replan(policy),
         )
         .expect("plans build");
         let trace = drifting_trace(1.5, 19).generate();
         let report = server.run(&trace);
-        let g = report.gantt.as_ref().expect("gantt requested");
-        assert_eq!(g.len(), trace.len());
-        assert_eq!(g.partition_sizes(), &report.partition_sizes[..]);
-        for (span, r) in g.iter().zip(&report.records) {
-            assert_eq!(span.partition, r.partition);
-            assert_eq!(span.start, r.started);
-            assert_eq!(span.end, r.completed);
-        }
-        assert!(!g.render_ascii(60).is_empty());
-        // Without the flag, no gantt is kept.
-        let plain = two_model_server(None).run(&steady_trace(100.0, 50.0, 0.2, 3));
-        assert!(plain.gantt.is_none());
+        assert!(!report.reconfigs.is_empty(), "the drift must re-plan");
+        let initial: usize = server.groups.iter().map(Vec::len).sum();
+        assert!(report.partition_sizes.len() > initial);
+        assert_eq!(report.records.len(), trace.len());
+        let art = Gantt::new(&report.partition_sizes, &report.records).render_ascii(60);
+        assert_eq!(art.lines().count(), report.partition_sizes.len());
+        assert!(report
+            .records
+            .iter()
+            .all(|r| r.partition < report.partition_sizes.len()));
     }
 
     #[test]

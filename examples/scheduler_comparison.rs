@@ -9,6 +9,7 @@
 
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
+use paris_elsa::server::Gantt;
 use paris_elsa::workload::QuerySpec;
 
 fn main() {
@@ -48,11 +49,11 @@ fn main() {
         let server = InferenceServer::new(
             partitions.clone(),
             table.clone(),
-            ServerConfig::new(scheduler).with_gantt(),
+            ServerConfig::new(scheduler),
         );
         let report = server.run(&trace);
         println!("=== {name} ===");
-        println!("{}", report.gantt.as_ref().expect("gantt requested"));
+        println!("{}", Gantt::new(server.partitions(), &report.records));
         for r in &report.records {
             let verdict = if r.latency().as_nanos() > sla_ns {
                 "SLA VIOLATION"

@@ -534,5 +534,5 @@ fn lookahead_fleet_matches_golden_values() {
     assert_eq!(report.routed, [4183, 1421, 2326, 2634]);
     assert_eq!(report.shed_per_model, [0, 1964]);
     assert_eq!(loans, [(0, 2)]);
-    assert_eq!(debug_fingerprint(&report), 0xc59a_1488_70ca_92d8);
+    assert_eq!(debug_fingerprint(&report), 0x6850_1e03_bc3f_052c);
 }
