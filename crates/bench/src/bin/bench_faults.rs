@@ -179,13 +179,11 @@ fn main() {
     // The empty-plan degeneration check: the no-fault run through the
     // fault path must be bit-for-bit the plain run.
     let baseline_cluster = scenario.cluster(false);
-    let plain = baseline_cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-    let nofault = run_with_faults(
-        &baseline_cluster,
-        unpinned(),
-        ReportDetail::Full,
-        &FaultPlan::new(),
-    );
+    let full = RunSpec::new(ReportDetail::Full);
+    let plain = baseline_cluster
+        .simulate(unpinned(), &FaultTimeline::empty(), &full)
+        .report;
+    let nofault = run_with_faults(&baseline_cluster, unpinned(), &FaultPlan::new(), &full).report;
     let bit_identical = plain
         .per_shard
         .iter()
@@ -201,18 +199,8 @@ fn main() {
         "empty FaultPlan must reproduce the plain run bit-for-bit"
     );
 
-    let bare = run_with_faults(
-        &scenario.cluster(false),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-    );
-    let loaned = run_with_faults(
-        &scenario.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-    );
+    let bare = run_with_faults(&scenario.cluster(false), unpinned(), &plan, &full).report;
+    let loaned = run_with_faults(&scenario.cluster(true), unpinned(), &plan, &full).report;
     let rows = [
         row("nofault_jsq", &nofault),
         row("jsq", &bare),

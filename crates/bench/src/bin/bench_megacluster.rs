@@ -107,13 +107,13 @@ impl Scenario {
     /// One full run: report plus wall-clock seconds.
     fn run(&self, window: SyncWindow, threads: usize) -> (ClusterReport, f64) {
         let start = Instant::now();
-        let report = self.cluster.run_windowed(
-            self.trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Summary,
-            &self.faults,
+        let spec = RunSpec {
             window,
             threads,
-        );
+            ..RunSpec::new(ReportDetail::Summary)
+        };
+        let arrivals = self.trace.iter().map(|&tq| (None, tq));
+        let report = self.cluster.simulate(arrivals, &self.faults, &spec).report;
         (report, start.elapsed().as_secs_f64())
     }
 

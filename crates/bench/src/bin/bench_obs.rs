@@ -59,10 +59,7 @@ use std::time::Instant;
 use paris_bench::print_table;
 use paris_bench::scenarios::{mobilenet_table, RackScenario};
 use paris_elsa::cluster::Cluster;
-use paris_elsa::faults::{
-    run_with_faults_windowed, run_with_faults_windowed_instrumented,
-    run_with_faults_windowed_observed, run_with_faults_windowed_traced, FaultPlan, FaultReport,
-};
+use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::obs::{
     alert_records, analyze, attribute_alerts, check_conservation, evaluate_slos, jsonl,
     write_alert_rows, write_query_trace, ChromeTraceWriter, MetricRegistry, QueryTrace, SloSpec,
@@ -194,25 +191,19 @@ fn main() {
     let plan = rack.plan();
     let unpinned = || trace_in.iter().copied().map(|tq| (None, tq));
 
-    let untraced = |threads: usize| -> FaultReport {
-        run_with_faults_windowed(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
+    let rack_run = |obs: ObsRequest, threads: usize| -> RunOutput<FaultReport> {
+        let spec = RunSpec {
+            detail: ReportDetail::Full,
+            window: SyncWindow::PerEvent,
             threads,
-        )
+            obs,
+        };
+        run_with_faults(&rack.cluster(true), unpinned(), &plan, &spec)
     };
+    let untraced = |threads: usize| rack_run(ObsRequest::OFF, threads).report;
     let traced = |threads: usize| -> (FaultReport, QueryTrace) {
-        run_with_faults_windowed_traced(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
-            threads,
-        )
+        let out = rack_run(ObsRequest::traced(), threads);
+        (out.report, out.trace.expect("traced run"))
     };
 
     // -- 1. Zero observer effect (invariant 12), threads 1 and 4 ----------
@@ -269,52 +260,33 @@ fn main() {
     let dense_duration_s = opts.pick(2.0, 1.5, 0.5);
     let reps = opts.pick(41, 15, 7);
     let (fleet, fleet_trace) = dense_fleet(&table, dense_duration_s, opts.seed);
-    let fleet_unpinned = || fleet_trace.iter().copied().map(|tq| (None, tq));
     let no_faults = FaultPlan::new();
     let window = SyncWindow::Lookahead(SimDuration::from_millis(2));
+    let fleet_run = |obs: ObsRequest| {
+        let spec = RunSpec {
+            detail: ReportDetail::Summary,
+            window,
+            threads: 1,
+            obs,
+        };
+        let arrivals = fleet_trace.iter().map(|&tq| (None, tq));
+        run_with_faults(&fleet, arrivals, &no_faults, &spec)
+    };
     let mut triples: Vec<(f64, f64, f64)> = Vec::with_capacity(reps);
     let mut events = 0;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let report = run_with_faults_windowed(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-        );
+        let untraced = fleet_run(ObsRequest::OFF);
         let rep_untraced = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (online_report, fleet_registry) = run_with_faults_windowed_observed(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-            online_window_ns,
-        );
+        let online = fleet_run(ObsRequest::online(online_window_ns));
         let rep_online = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (traced_report, fleet_recorded) = run_with_faults_windowed_traced(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-        );
+        let traced = fleet_run(ObsRequest::traced());
         let rep_traced = t0.elapsed().as_secs_f64();
         triples.push((rep_untraced, rep_traced, rep_online));
-        events = fleet_recorded.len();
-        drop((
-            report,
-            traced_report,
-            fleet_recorded,
-            online_report,
-            fleet_registry,
-        ));
+        events = traced.trace.as_ref().map_or(0, QueryTrace::len);
+        drop((untraced, traced, online));
     }
     triples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
     let (untraced_secs, traced_secs, _) = triples[triples.len() / 2];
@@ -339,15 +311,7 @@ fn main() {
     let peak_traced_bytes = peak_bytes() - live;
     drop(keep);
     let live = reset_peak();
-    let keep = run_with_faults_windowed_observed(
-        &rack.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-        SyncWindow::PerEvent,
-        1,
-        online_window_ns,
-    );
+    let keep = rack_run(ObsRequest::online(online_window_ns), 1);
     let peak_online_bytes = peak_bytes() - live;
     drop(keep);
     let online_peak_below_trace = peak_online_bytes < peak_traced_bytes;
@@ -373,15 +337,9 @@ fn main() {
     // -- 6. Online plane ≡ trace oracle (invariant 13), threads {1, 4} -----
     let lane_gpcs = rack.cluster(true).lane_gpcs();
     let instrumented = |threads: usize| {
-        run_with_faults_windowed_instrumented(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
-            threads,
-            online_window_ns,
-        )
+        let out = rack_run(ObsRequest::instrumented(online_window_ns), threads);
+        let registry = out.registry.expect("online run");
+        (out.report, out.trace.expect("traced run"), registry)
     };
     let (irep1, itrace1, ireg1) = instrumented(1);
     let (_, itrace4, ireg4) = instrumented(4);

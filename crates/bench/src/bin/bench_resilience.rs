@@ -151,8 +151,11 @@ fn main() {
     // Empty-plan degeneration guard: the fault path must cost nothing
     // until an event fires.
     let baseline = rack.cluster(false);
-    let plain = baseline.run_stream(rack_trace.iter().copied(), ReportDetail::Full);
-    let nofault = run_with_faults(&baseline, unpinned(), ReportDetail::Full, &FaultPlan::new());
+    let full = RunSpec::new(ReportDetail::Full);
+    let plain = baseline
+        .simulate(unpinned(), &FaultTimeline::empty(), &full)
+        .report;
+    let nofault = run_with_faults(&baseline, unpinned(), &FaultPlan::new(), &full).report;
     let bit_identical = plain
         .per_shard
         .iter()
@@ -168,18 +171,8 @@ fn main() {
         "empty FaultPlan must reproduce the plain run bit-for-bit"
     );
 
-    let noshed = run_with_faults(
-        &rack.cluster(false),
-        unpinned(),
-        ReportDetail::Full,
-        &rack_plan,
-    );
-    let shed = run_with_faults(
-        &rack.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &rack_plan,
-    );
+    let noshed = run_with_faults(&rack.cluster(false), unpinned(), &rack_plan, &full).report;
+    let shed = run_with_faults(&rack.cluster(true), unpinned(), &rack_plan, &full).report;
     // Invariant 10: every offered query is exactly served-or-shed.
     for (name, report) in [("noshed", &noshed), ("shed", &shed)] {
         let completed: u64 = report
@@ -243,18 +236,8 @@ fn main() {
     let slow_trace = slow.trace();
     let slow_plan = slow.plan();
     let slow_unpinned = || slow_trace.iter().copied().map(|tq| (None, tq));
-    let blind = run_with_faults(
-        &slow.cluster(false),
-        slow_unpinned(),
-        ReportDetail::Full,
-        &slow_plan,
-    );
-    let aware = run_with_faults(
-        &slow.cluster(true),
-        slow_unpinned(),
-        ReportDetail::Full,
-        &slow_plan,
-    );
+    let blind = run_with_faults(&slow.cluster(false), slow_unpinned(), &slow_plan, &full).report;
+    let aware = run_with_faults(&slow.cluster(true), slow_unpinned(), &slow_plan, &full).report;
     for (name, report) in [("blind", &blind), ("aware", &aware)] {
         let completed: usize = report
             .cluster

@@ -36,7 +36,6 @@
 
 use paris_bench::scenarios::{mobilenet_table, RackScenario};
 use paris_bench::{arg_value, print_table};
-use paris_elsa::faults::run_with_faults_traced;
 use paris_elsa::obs::{
     alert_records, analyze, attribute_alerts, check_conservation, chrome_trace_json, evaluate_slos,
     jsonl, metrics_csv, metrics_jsonl, write_alert_rows, write_query_trace, ChromeTraceWriter,
@@ -68,12 +67,13 @@ fn main() {
     let plan = rack.plan();
     let cluster = rack.cluster(true);
 
-    let (report, trace) = run_with_faults_traced(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
-        &plan,
-    );
+    let spec = RunSpec {
+        obs: ObsRequest::traced(),
+        ..RunSpec::new(ReportDetail::Summary)
+    };
+    let arrivals = trace_in.iter().map(|&tq| (None, tq));
+    let out = run_with_faults(&cluster, arrivals, &plan, &spec);
+    let (report, trace) = (out.report, out.trace.expect("traced run"));
 
     // -- Exact per-class latency breakdown ---------------------------------
     let analysis = analyze(&trace);

@@ -41,8 +41,8 @@ pub struct FaultRecord {
     pub requeued: u64,
 }
 
-/// The number of worker threads [`Cluster::run_scenario`] (and everything
-/// built on it) advances shard lanes with, taken from the
+/// The number of worker threads [`RunSpec::new`] (and so [`Cluster::run`])
+/// advances shard lanes with, taken from the
 /// `CLUSTER_THREADS` environment variable (default 1). Thread count never
 /// changes results — ARCHITECTURE.md invariant 11 — so this is purely a
 /// wall-clock knob.
@@ -53,6 +53,71 @@ pub fn cluster_threads_from_env() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(1)
+}
+
+/// How one [`Cluster::simulate`] run is driven: everything besides the
+/// arrivals and the fault timeline.
+///
+/// [`RunSpec::new`] is the default run; set other fields with
+/// struct-update syntax:
+///
+/// ```
+/// use inference_cluster::{RunSpec, SyncWindow};
+/// use inference_obs::ObsRequest;
+/// use inference_server::ReportDetail;
+///
+/// let spec = RunSpec {
+///     threads: 1,
+///     obs: ObsRequest::traced(),
+///     ..RunSpec::new(ReportDetail::Full)
+/// };
+/// assert_eq!(spec.window, SyncWindow::PerEvent);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpec {
+    /// How much per-query material the shard reports keep.
+    pub detail: ReportDetail,
+    /// How the shard lanes synchronize. The two modes are *distinct
+    /// models*: per-event windows give the coordinator exact fleet state at
+    /// every decision (the sequential shared-queue order), while
+    /// `Lookahead(L)` freezes its reads at each window's leading edge — an
+    /// explicit model of cross-shard information latency, and the mode
+    /// that actually scales across cores.
+    pub window: SyncWindow,
+    /// Lane worker threads, clamped to `1..=shards`. Never changes the
+    /// result (invariant 11).
+    pub threads: usize,
+    /// What the run observes: a retained trace, the online metric plane,
+    /// both, or nothing. Never changes the report (invariant 12).
+    pub obs: ObsRequest,
+}
+
+impl RunSpec {
+    /// Per-event windows at [`cluster_threads_from_env`] threads, with
+    /// nothing observed.
+    #[must_use]
+    pub fn new(detail: ReportDetail) -> Self {
+        RunSpec {
+            detail,
+            window: SyncWindow::PerEvent,
+            threads: cluster_threads_from_env(),
+            obs: ObsRequest::OFF,
+        }
+    }
+}
+
+/// What one run returns: its report plus whichever observability products
+/// the run's [`ObsRequest`] asked for. Generic over the report so layers
+/// above the cluster can post-process the report and keep the rest.
+#[derive(Debug, Clone)]
+pub struct RunOutput<R = ClusterReport> {
+    /// The run's report.
+    pub report: R,
+    /// The merged flight-recorder trace, present when `obs.trace` is set.
+    pub trace: Option<QueryTrace>,
+    /// The online metric registry, present when `obs.online_window_ns` is
+    /// non-zero.
+    pub registry: Option<MetricRegistry>,
 }
 
 /// A multi-server inference cluster: each *shard* is a full
@@ -252,7 +317,9 @@ impl Cluster {
     }
 
     /// Simulates the cluster over a materialized tagged trace at the first
-    /// shard's configured detail.
+    /// shard's configured detail, with no faults and nothing observed —
+    /// [`simulate`](Self::simulate) with [`RunSpec::new`] and an empty
+    /// [`FaultTimeline`], apart from lane pre-sizing.
     ///
     /// The materialized trace is also the lane pre-sizing profile: unless
     /// [`with_lane_capacity`](Self::with_lane_capacity) already pinned
@@ -270,203 +337,70 @@ impl Cluster {
         } else {
             None
         };
-        self.run_windowed_inner(
-            trace.iter().copied().map(|tq| (None, tq)),
-            self.shards[0].config().detail,
+        let spec = RunSpec::new(self.shards[0].config().detail);
+        self.simulate_inner(
+            trace.iter().map(|&tq| (None, tq)),
             &FaultTimeline::empty(),
-            SyncWindow::PerEvent,
-            cluster_threads_from_env(),
-            ObsRequest::OFF,
+            &spec,
             hints.as_deref(),
+            None,
         )
-        .0
+        .report
     }
 
-    /// Simulates the cluster over a *streamed* tagged arrival sequence
-    /// (ascending arrival times) until every accepted query completes.
-    #[must_use]
-    pub fn run_stream<I>(&self, arrivals: I, detail: ReportDetail) -> ClusterReport
-    where
-        I: IntoIterator<Item = TaggedQuerySpec>,
-    {
-        self.run_scenario(
-            arrivals.into_iter().map(|tq| (None, tq)),
-            detail,
-            &FaultTimeline::empty(),
-        )
-    }
-
-    /// Simulates the cluster under a fault scenario: a (possibly
-    /// shard-pinned, see [`PinnedQuery`]) arrival stream plus a
-    /// [`FaultTimeline`] injected into the same DES. GPU failures kill
-    /// the instances packed on the failing GPU (their work requeues) and
-    /// the shard re-plans onto the survivor budget; shard failures drop
-    /// the shard from the routing rotation until repair; with a
-    /// [`LoanPolicy`], every fault also triggers an immediate loan
-    /// rebalance so the batch pool can backfill lost capacity.
+    /// The general run: simulates the cluster over a (possibly
+    /// shard-pinned, see [`PinnedQuery`]) arrival stream in ascending
+    /// arrival order, under a [`FaultTimeline`] injected into the same DES,
+    /// driven as `spec` says, until every accepted query completes.
     ///
-    /// An **empty timeline with no pins is bit-for-bit
-    /// [`run_stream`](Self::run_stream)** — the fault machinery costs
-    /// nothing until an event fires; the unit suite pins this.
+    /// GPU failures kill the instances packed on the failing GPU (their
+    /// work requeues) and the shard re-plans onto the survivor budget;
+    /// shard failures drop the shard from the routing rotation until
+    /// repair; with a [`LoanPolicy`], every fault also triggers an
+    /// immediate loan rebalance so the batch pool can backfill lost
+    /// capacity. An **empty timeline with no pins costs nothing**: the
+    /// fault machinery is idle until an event fires.
     ///
-    /// Runs per-event windows ([`SyncWindow::PerEvent`]) at
-    /// [`cluster_threads_from_env`] worker threads; thread count never
-    /// changes the result.
+    /// For a fixed [`RunSpec::window`], **`threads` never changes the
+    /// result** (invariant 11), and what [`RunSpec::obs`] attaches never
+    /// changes the report (invariant 12). The online registry, when one is
+    /// streamed, is byte-for-byte [`MetricRegistry::from_trace`] of the
+    /// same run's trace on the same grid (invariant 13). The property suite
+    /// pins all three.
     #[must_use]
-    pub fn run_scenario<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-    ) -> ClusterReport
+    pub fn simulate<I>(&self, arrivals: I, faults: &FaultTimeline, spec: &RunSpec) -> RunOutput
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
-        self.run_windowed(
-            arrivals,
-            detail,
-            faults,
-            SyncWindow::PerEvent,
-            cluster_threads_from_env(),
-        )
+        self.simulate_inner(arrivals, faults, spec, None, None)
     }
 
-    /// The fully general entry point: simulates the cluster under a fault
-    /// scenario with an explicit [`SyncWindow`] mode and worker thread
-    /// count.
-    ///
-    /// For a fixed `window`, **`threads` never changes the result** — the
-    /// per-event and lookahead modes are each deterministic bit-for-bit at
-    /// any thread count (invariant 11). The two window modes are *distinct
-    /// models*, though: per-event windows give the coordinator exact
-    /// fleet state at every decision (the sequential shared-queue order),
-    /// while `Lookahead(L)` freezes its reads at each window's leading
-    /// edge — an explicit model of cross-shard information latency, and
-    /// the mode that actually scales across cores.
+    /// Like [`simulate`](Self::simulate) at one thread with nothing
+    /// observed, but also measures the run's [`WindowProfile`]: per
+    /// synchronization window, how the lane work would bucket onto worker
+    /// pools of each size in `thread_counts`. The report is bit-for-bit the
+    /// unprofiled report (profiling only observes event counters).
     #[must_use]
-    pub fn run_windowed<I>(
+    pub fn run_windowed_profiled<I>(
         &self,
         arrivals: I,
         detail: ReportDetail,
         faults: &FaultTimeline,
         window: SyncWindow,
-        threads: usize,
-    ) -> ClusterReport
+        thread_counts: &[usize],
+    ) -> (ClusterReport, WindowProfile)
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
-        self.run_windowed_inner(
-            arrivals,
+        let spec = RunSpec {
             detail,
-            faults,
             window,
-            threads,
-            ObsRequest::OFF,
-            None,
-        )
-        .0
-    }
-
-    /// [`run_windowed`](Self::run_windowed) with the flight recorder
-    /// attached: every lane's dispatch core and the gateway record the full
-    /// query lifecycle (arrivals, routing, sheds, service, re-plans, loans,
-    /// faults), merged into one deterministic [`QueryTrace`].
-    ///
-    /// **Invariant 12 (zero observer effect):** the returned
-    /// [`ClusterReport`] is bit-for-bit the untraced `run_windowed` report,
-    /// and the trace itself is invariant under `threads` — both pinned by
-    /// the property suite.
-    #[must_use]
-    pub fn run_windowed_traced<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-    ) -> (ClusterReport, QueryTrace)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, trace, _) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::traced(),
-            None,
-        );
-        (report, trace.expect("tracing was requested"))
-    }
-
-    /// [`run_windowed`](Self::run_windowed) with the **online telemetry
-    /// plane** attached: each lane folds its own hook stream into private
-    /// windowed aggregates live on the DES clock (O(1) memory per series
-    /// and window — no trace is retained), merged deterministically in
-    /// lane order into one [`MetricRegistry`] on a `online_window_ns` grid.
-    ///
-    /// **Invariant 13:** the returned registry is byte-for-byte
-    /// [`MetricRegistry::from_trace`] of the same run's trace on the same
-    /// grid, at any thread count — `from_trace` is the oracle the property
-    /// suite and `bench_obs` hold this against. Invariant 12 still holds
-    /// too: the report is bit-for-bit the unobserved run's.
-    #[must_use]
-    pub fn run_windowed_observed<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        online_window_ns: u64,
-    ) -> (ClusterReport, MetricRegistry)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, _, registry) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::online(online_window_ns),
-            None,
-        );
-        (report, registry.expect("online telemetry was requested"))
-    }
-
-    /// Both observability planes at once: the retained [`QueryTrace`] and
-    /// the live [`MetricRegistry`] from one run — what the invariant-13
-    /// checks compare, and what `trace_report --slo` uses to pair alerts
-    /// with their causal attribution.
-    #[must_use]
-    pub fn run_windowed_instrumented<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        online_window_ns: u64,
-    ) -> (ClusterReport, QueryTrace, MetricRegistry)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, trace, registry) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::instrumented(online_window_ns),
-            None,
-        );
-        (
-            report,
-            trace.expect("tracing was requested"),
-            registry.expect("online telemetry was requested"),
-        )
+            threads: 1,
+            obs: ObsRequest::OFF,
+        };
+        let mut exec = ProfilingExecutor::new(thread_counts);
+        let out = self.simulate_inner(arrivals, faults, &spec, None, Some(&mut exec));
+        (out.report, exec.into_profile())
     }
 
     /// Per-lane GPC capacities (`lane_gpcs[s]` = shard `s`'s total GPC
@@ -496,20 +430,26 @@ impl Cluster {
             })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_windowed_inner<I>(
+    /// Every entry point's run: builds the gateway and one lane per shard
+    /// for `spec`, then drives them with the profiler when one is given,
+    /// else with `spec.threads` lane workers.
+    fn simulate_inner<I>(
         &self,
         arrivals: I,
-        detail: ReportDetail,
         faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        obs: ObsRequest,
+        spec: &RunSpec,
         hints: Option<&[usize]>,
-    ) -> (ClusterReport, Option<QueryTrace>, Option<MetricRegistry>)
+        profiler: Option<&mut ProfilingExecutor>,
+    ) -> RunOutput
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
+        let RunSpec {
+            detail,
+            window,
+            threads,
+            obs,
+        } = *spec;
         let mut gw = Gateway::new(self, arrivals.into_iter(), faults, window);
         if !obs.is_off() {
             // The gateway records on its own lane, one past the shards
@@ -540,60 +480,15 @@ impl Cluster {
             })
             .collect();
         let threads = threads.clamp(1, self.shards.len());
-        if threads <= 1 {
-            let mut exec = SerialExecutor;
-            gw.drive(&mut lanes, &mut exec);
-        } else {
-            std::thread::scope(|scope| {
+        match profiler {
+            Some(exec) => gw.drive(&mut lanes, exec),
+            None if threads == 1 => gw.drive(&mut lanes, &mut SerialExecutor),
+            None => std::thread::scope(|scope| {
                 let mut exec = WorkerPool::new(scope, threads);
                 gw.drive(&mut lanes, &mut exec);
-            });
+            }),
         }
         gw.finish(lanes)
-    }
-
-    /// Like [`run_windowed`](Self::run_windowed) at one thread, but also
-    /// measures the run's [`WindowProfile`]: per synchronization window,
-    /// how the lane work would bucket onto worker pools of each size in
-    /// `thread_counts`. The report is bit-for-bit the `run_windowed`
-    /// report (profiling only observes event counters); the profile is
-    /// what `bench_megacluster` builds its events/sec-vs-cores curve
-    /// from, independent of the benchmarking host's core count.
-    #[must_use]
-    pub fn run_windowed_profiled<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        thread_counts: &[usize],
-    ) -> (ClusterReport, WindowProfile)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let mut gw = Gateway::new(self, arrivals.into_iter(), faults, window);
-        let mut lanes: Vec<Lane<'_>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let capacity = self.lane_capacity(s, None);
-                let mailbox = match window {
-                    SyncWindow::Lookahead(_) => capacity,
-                    SyncWindow::PerEvent => 0,
-                };
-                Lane::new(
-                    s,
-                    ShardEngine::new(shard, detail),
-                    shard.budget().num_gpus,
-                    capacity,
-                    mailbox,
-                )
-            })
-            .collect();
-        let mut exec = ProfilingExecutor::new(thread_counts);
-        gw.drive(&mut lanes, &mut exec);
-        (gw.finish(lanes).0, exec.into_profile())
     }
 }
 
@@ -1698,10 +1593,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
 
     /// Assembles the report (and, when observing, the merged trace and/or
     /// online metric registry) after the final drain.
-    fn finish(
-        mut self,
-        lanes: Vec<Lane<'a>>,
-    ) -> (ClusterReport, Option<QueryTrace>, Option<MetricRegistry>) {
+    fn finish(mut self, lanes: Vec<Lane<'a>>) -> RunOutput {
         let end = lanes
             .iter()
             .map(|l| l.sim.now())
@@ -1766,6 +1658,10 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             let window_ns = online[0].window_ns();
             merge_online(window_ns, online, &self.cluster.lane_gpcs())
         });
-        (report, trace, registry)
+        RunOutput {
+            report,
+            trace,
+            registry,
+        }
     }
 }

@@ -23,6 +23,13 @@
 //! * [`ClusterReport`] aggregates per-shard reports, fleet-wide latency,
 //!   per-model shed counts, the loan ledger and its opportunity cost.
 //!
+//! Every run goes through one call, [`Cluster::simulate`]: arrivals and a
+//! [`FaultTimeline`] in, driven by a [`RunSpec`] (report detail,
+//! [`SyncWindow`] mode, lane threads, what to observe), and a
+//! [`RunOutput`] out — the report plus the trace and online registry when
+//! the spec asked for them. [`Cluster::run`] is the fault-free
+//! convenience over a materialized trace.
+//!
 //! Two contracts pin the layer down (see [`Cluster`]): a **1-shard cluster
 //! degenerates bit-for-bit** to its shard's own run, and **conservation**
 //! holds across routing, loans, reclaims and shedding — every offered
@@ -35,7 +42,9 @@ mod parallel;
 mod router;
 mod shed;
 
-pub use cluster::{cluster_threads_from_env, Cluster, ClusterReport, FaultRecord, PinnedQuery};
+pub use cluster::{
+    cluster_threads_from_env, Cluster, ClusterReport, FaultRecord, PinnedQuery, RunOutput, RunSpec,
+};
 pub use faults::{FaultEvent, FaultTimeline};
 pub use loan::{degrade_inflated_demand, LoanDemandModel, LoanEvent, LoanPolicy};
 pub use parallel::{SyncWindow, WindowProfile};
@@ -78,6 +87,17 @@ mod tests {
         demand_gpus * server.capacity_hint_qps() / server.budget().num_gpus as f64
     }
 
+    /// `cluster` over `trace` (unpinned) under `faults`, at full detail.
+    fn run_full(
+        cluster: &Cluster,
+        trace: &[TaggedQuerySpec],
+        faults: &FaultTimeline,
+    ) -> ClusterReport {
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let spec = RunSpec::new(ReportDetail::Full);
+        cluster.simulate(arrivals, faults, &spec).report
+    }
+
     fn assert_shard_reports_identical(a: &MultiRunReport, b: &MultiRunReport) {
         assert_eq!(a.records, b.records);
         assert_eq!(a.record_models, b.record_models);
@@ -93,7 +113,7 @@ mod tests {
         }
     }
 
-    fn assert_conserved(report: &crate::ClusterReport, trace: &[TaggedQuerySpec]) {
+    fn assert_conserved(report: &ClusterReport, trace: &[TaggedQuerySpec]) {
         let completed: usize = report.per_shard.iter().map(|r| r.records.len()).sum();
         assert_eq!(completed, trace.len(), "nothing dropped, nothing invented");
         for (s, shard_report) in report.per_shard.iter().enumerate() {
@@ -125,7 +145,7 @@ mod tests {
             RouterPolicy::WeightedByCapacity,
         ] {
             let cluster = Cluster::new(vec![server.clone()], router);
-            let got = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
+            let got = run_full(&cluster, &trace, &FaultTimeline::empty());
             assert_shard_reports_identical(&got.per_shard[0], &expected);
             assert_eq!(got.completed(), expected.completed());
             assert_eq!(got.makespan, expected.makespan);
@@ -251,7 +271,7 @@ mod tests {
             .clone()
             .with_mode(ReconfigMode::Rolling);
         let rolling = Cluster::new(loaning.shards().to_vec(), loaning.router()).with_loan(policy);
-        let report = rolling.run_stream(trace.iter().copied(), ReportDetail::Full);
+        let report = run_full(&rolling, &trace, &FaultTimeline::empty());
         assert_conserved(&report, &trace);
         assert!(
             report.loans.iter().any(|l| l.gpus_delta > 0),
@@ -274,7 +294,7 @@ mod tests {
         // queued query) before their GPUs go home. Conservation at full
         // detail proves no query was stranded on a removed GPU.
         let (_, loaning, trace) = surge_cluster_and_trace(2);
-        let report = loaning.run_stream(trace.iter().copied(), ReportDetail::Full);
+        let report = run_full(&loaning, &trace, &FaultTimeline::empty());
         assert_conserved(&report, &trace);
         assert!(
             report.loans.iter().any(|l| l.gpus_delta < 0),
@@ -300,7 +320,11 @@ mod tests {
         // O(partitions + frontend backlog): at this moderate load the
         // gateway backlog is a handful of bursty arrivals, never O(trace).
         let (_, loaning, trace) = surge_cluster_and_trace(2);
-        let report = loaning.run_stream(trace.iter().copied(), ReportDetail::Summary);
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let spec = RunSpec::new(ReportDetail::Summary);
+        let report = loaning
+            .simulate(arrivals, &FaultTimeline::empty(), &spec)
+            .report;
         let total_partitions: usize = report
             .per_shard
             .iter()
@@ -315,11 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_timeline_degenerates_to_run_stream_bit_for_bit() {
-        // The fault subsystem's ground rule: with no fault events and no
-        // pins, run_scenario must be byte-identical to run_stream — the
-        // machinery costs nothing until an event fires. This is what keeps
-        // BENCH_cluster.json reproducible under an empty FaultPlan.
+    fn empty_fault_timeline_and_lane_sizing_are_unobservable() {
+        // Two ground rules in one comparison. With no fault events and no
+        // pins, the general entry must be byte-identical to the fault-free
+        // `run` — the machinery costs nothing until an event fires, which
+        // keeps BENCH_cluster.json reproducible under an empty FaultPlan.
+        // And `run` sizes its lanes from the trace's offered rate while
+        // `simulate` uses the structural floor: lane pre-sizing is never
+        // observable in any report.
         let t = table();
         let dist = BatchDistribution::paper_default();
         let cluster = Cluster::new(
@@ -344,12 +371,8 @@ mod tests {
             31,
         )
         .generate();
-        let plain = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-        let faulted = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &FaultTimeline::empty(),
-        );
+        let plain = cluster.run(&trace);
+        let faulted = run_full(&cluster, &trace, &FaultTimeline::empty());
         assert!(faulted.faults.is_empty());
         assert_eq!(faulted.routed, plain.routed);
         assert_eq!(faulted.loans, plain.loans);
@@ -380,11 +403,7 @@ mod tests {
                 FaultEvent::GpuRepair { shard: 0, gpu: 0 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run_full(&cluster, &trace, &timeline);
         assert_conserved(&report, &trace);
         assert_eq!(report.faults.len(), 2);
         assert!(
@@ -433,11 +452,7 @@ mod tests {
                 FaultEvent::ShardRepair { shard: 1 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run_full(&cluster, &trace, &timeline);
         assert_conserved(&report, &trace);
         // The drain contract: no query that arrived during the outage
         // landed on the failed shard...
@@ -474,11 +489,9 @@ mod tests {
             FaultEvent::ShardFail { shard: 1 },
         )]);
         let cluster = Cluster::new(shards, RouterPolicy::JoinShortestQueue);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (Some(1), tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let pinned = trace.iter().map(|&tq| (Some(1), tq));
+        let spec = RunSpec::new(ReportDetail::Full);
+        let report = cluster.simulate(pinned, &timeline, &spec).report;
         assert_conserved(&report, &trace);
         // Pins honored while alive, router fallback after the fail.
         for r in &report.per_shard[0].records {
@@ -618,11 +631,7 @@ mod tests {
                 FaultEvent::GpuRepair { shard: 0, gpu: 1 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run_full(&cluster, &trace, &timeline);
         assert_conserved(&report, &trace);
         assert!(
             report.per_shard[0].reconfigs.iter().any(|rc| rc.aborted),
@@ -649,8 +658,7 @@ mod tests {
         let trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(3.0, vec![(rate, dist)])], 61).generate();
         let cluster = Cluster::new(vec![serving], RouterPolicy::JoinShortestQueue);
-        let arrivals = || trace.iter().copied().map(|tq| (None, tq));
-        let plain = cluster.run_scenario(arrivals(), ReportDetail::Full, &FaultTimeline::empty());
+        let plain = run_full(&cluster, &trace, &FaultTimeline::empty());
         // Factor 1.0 "degrade": the whole degrade/restore cycle must be
         // bit-for-bit the fault-free run — the only trace it leaves is the
         // fault log itself.
@@ -668,7 +676,7 @@ mod tests {
                 FaultEvent::GpuRestore { shard: 0, gpu: 0 },
             ),
         ]);
-        let unit_report = cluster.run_scenario(arrivals(), ReportDetail::Full, &unit);
+        let unit_report = run_full(&cluster, &trace, &unit);
         assert_eq!(unit_report.faults.len(), 2);
         assert_eq!(unit_report.routed, plain.routed);
         for (a, b) in unit_report.per_shard.iter().zip(&plain.per_shard) {
@@ -690,7 +698,7 @@ mod tests {
                 FaultEvent::GpuRestore { shard: 0, gpu: 0 },
             ),
         ]);
-        let slow_report = cluster.run_scenario(arrivals(), ReportDetail::Full, &slow);
+        let slow_report = run_full(&cluster, &trace, &slow);
         assert_conserved(&slow_report, &trace);
         assert!(
             slow_report.histogram.percentile_ms(0.95) > plain.histogram.percentile_ms(0.95),

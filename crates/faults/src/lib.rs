@@ -13,15 +13,16 @@
 //!   up/down times per GPU lane). Every outage carries its repair, so a
 //!   compiled plan can never strand a query in a dark group forever.
 //! * [`run_with_faults`] — compiles the plan to an executable
-//!   [`FaultTimeline`] and drives the cluster through it: GPU failures
-//!   kill the instances packed on the failing GPU (in-flight + queued
-//!   work requeues through the dispatch drain path) and PARIS re-plans
-//!   the survivor budget; shard failures drain out of the routing
-//!   rotation; with a [`LoanPolicy`](inference_cluster::LoanPolicy) the
-//!   batch pool backfills lost capacity immediately.
-//!   [`run_with_faults_windowed`] is the same run with an explicit
-//!   [`SyncWindow`] mode and lane thread count (bit-for-bit invariant
-//!   under threads — ARCHITECTURE.md invariant 11).
+//!   [`FaultTimeline`] and drives the cluster through it with
+//!   [`Cluster::simulate`], under the same [`RunSpec`] (window mode,
+//!   threads, observation): GPU failures kill the instances packed on the
+//!   failing GPU (in-flight + queued work requeues through the dispatch
+//!   drain path) and PARIS re-plans the survivor budget; shard failures
+//!   drain out of the routing rotation; with a
+//!   [`LoanPolicy`](inference_cluster::LoanPolicy) the batch pool
+//!   backfills lost capacity immediately. The four
+//!   `run_with_faults_windowed*` functions are fixed-signature forms of
+//!   the same call, one per observation mode.
 //! * [`FaultReport`] — the run's [`ClusterReport`] plus the availability
 //!   accounting: base availability (GPU-time online / GPU-time owned),
 //!   effective availability (crediting batch-pool backfill), and the
@@ -39,7 +40,7 @@
 //!
 //! ```
 //! use dnn_zoo::ModelKind;
-//! use inference_cluster::{Cluster, RouterPolicy};
+//! use inference_cluster::{Cluster, RouterPolicy, RunSpec};
 //! use inference_faults::{run_with_faults, FaultPlan};
 //! use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer, ReportDetail};
 //! use inference_workload::{BatchDistribution, MultiTraceGenerator, PhaseSpec};
@@ -61,9 +62,10 @@
 //! let report = run_with_faults(
 //!     &cluster,
 //!     trace.generate().into_iter().map(|tq| (None, tq)),
-//!     ReportDetail::Full,
 //!     &plan,
-//! );
+//!     &RunSpec::new(ReportDetail::Full),
+//! )
+//! .report;
 //! assert!(report.base_availability < 1.0);
 //! assert_eq!(report.cluster.faults.len(), 2); // the fail and the repair
 //! # Ok::<(), paris_core::PlanError>(())
@@ -71,8 +73,9 @@
 
 use des_engine::SimTime;
 use inference_cluster::{
-    Cluster, ClusterReport, FaultEvent, FaultTimeline, PinnedQuery, SyncWindow,
+    Cluster, ClusterReport, FaultEvent, FaultTimeline, PinnedQuery, RunOutput, RunSpec, SyncWindow,
 };
+use inference_obs::{MetricRegistry, ObsRequest, QueryTrace};
 use inference_server::ReportDetail;
 use mig_gpu::ResliceCostModel;
 use paris_core::ReconfigMode;
@@ -695,29 +698,30 @@ impl FaultReport {
 }
 
 /// Runs `cluster` over `arrivals` (optionally shard-pinned — see
-/// [`PinnedQuery`]) under `plan`, and computes the availability and
-/// degraded-tail statistics. An empty plan reproduces
-/// [`Cluster::run_stream`] bit-for-bit with availability 1.0.
+/// [`PinnedQuery`]) under `plan`, driven as `spec` says, and computes the
+/// availability and degraded-tail statistics. The trace and registry pass
+/// through from [`Cluster::simulate`]. An empty plan reproduces the
+/// fault-free run bit-for-bit with availability 1.0.
 #[must_use]
 pub fn run_with_faults<I>(
     cluster: &Cluster,
     arrivals: I,
-    detail: ReportDetail,
     plan: &FaultPlan,
-) -> FaultReport
+    spec: &RunSpec,
+) -> RunOutput<FaultReport>
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    let timeline = plan.compile();
-    let report = cluster.run_scenario(arrivals, detail, &timeline);
-    assemble_fault_report(cluster, report, detail, plan)
+    let out = cluster.simulate(arrivals, &plan.compile(), spec);
+    RunOutput {
+        report: assemble_fault_report(cluster, out.report, spec.detail, plan),
+        trace: out.trace,
+        registry: out.registry,
+    }
 }
 
-/// [`run_with_faults`] with an explicit [`SyncWindow`] mode and lane
-/// worker thread count — the entry point scenario benches use to compare
-/// per-event and lookahead synchronization, or to pin a thread count
-/// independent of `CLUSTER_THREADS`. For a fixed window mode the result
-/// is bit-for-bit identical at any thread count (invariant 11).
+/// [`run_with_faults`] with nothing observed, at an explicit window mode
+/// and thread count.
 #[must_use]
 pub fn run_with_faults_windowed<I>(
     cluster: &Cluster,
@@ -730,40 +734,17 @@ pub fn run_with_faults_windowed<I>(
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    let timeline = plan.compile();
-    let report = cluster.run_windowed(arrivals, detail, &timeline, window, threads);
-    assemble_fault_report(cluster, report, detail, plan)
-}
-
-/// [`run_with_faults`] with the flight recorder attached: the run also
-/// returns the merged [`QueryTrace`](inference_obs::QueryTrace) covering
-/// every query lifecycle plus the routing, loan and fault annotations.
-///
-/// Invariant 12 (zero observer effect): the [`FaultReport`] is bit-for-bit
-/// the untraced one — the availability assembly is pure post-processing of
-/// an identical cluster run.
-#[must_use]
-pub fn run_with_faults_traced<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-) -> (FaultReport, inference_obs::QueryTrace)
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    run_with_faults_windowed_traced(
-        cluster,
-        arrivals,
+    let spec = RunSpec {
         detail,
-        plan,
-        SyncWindow::PerEvent,
-        inference_cluster::cluster_threads_from_env(),
-    )
+        window,
+        threads,
+        obs: ObsRequest::OFF,
+    };
+    run_with_faults(cluster, arrivals, plan, &spec).report
 }
 
-/// [`run_with_faults_windowed`] with the flight recorder attached — the
-/// traced twin, with an explicit [`SyncWindow`] mode and thread count.
+/// [`run_with_faults`] with the flight recorder attached, at an explicit
+/// window mode and thread count.
 #[must_use]
 pub fn run_with_faults_windowed_traced<I>(
     cluster: &Cluster,
@@ -772,21 +753,27 @@ pub fn run_with_faults_windowed_traced<I>(
     plan: &FaultPlan,
     window: SyncWindow,
     threads: usize,
-) -> (FaultReport, inference_obs::QueryTrace)
+) -> (FaultReport, QueryTrace)
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    let timeline = plan.compile();
-    let (report, trace) = cluster.run_windowed_traced(arrivals, detail, &timeline, window, threads);
-    (assemble_fault_report(cluster, report, detail, plan), trace)
+    let spec = RunSpec {
+        detail,
+        window,
+        threads,
+        obs: ObsRequest::traced(),
+    };
+    let out = run_with_faults(cluster, arrivals, plan, &spec);
+    (out.report, out.trace.unwrap_or_default())
 }
 
-/// [`run_with_faults_windowed`] with the **online telemetry plane**
-/// attached: the run also returns the live
-/// [`MetricRegistry`](inference_obs::MetricRegistry) streamed on a
-/// `online_window_ns` grid — no trace retention. Invariants 12 and 13
-/// both hold: the report is bit-for-bit the unobserved one, and the
-/// registry equals `MetricRegistry::from_trace` of the same run's trace.
+/// [`run_with_faults`] with the online metric plane streamed on an
+/// `online_window_ns` grid, at an explicit window mode and thread count.
+///
+/// # Panics
+///
+/// Panics before simulating if `online_window_ns` is zero (a zero width
+/// turns the online plane off).
 #[must_use]
 pub fn run_with_faults_windowed_observed<I>(
     cluster: &Cluster,
@@ -796,29 +783,27 @@ pub fn run_with_faults_windowed_observed<I>(
     window: SyncWindow,
     threads: usize,
     online_window_ns: u64,
-) -> (FaultReport, inference_obs::MetricRegistry)
+) -> (FaultReport, MetricRegistry)
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    let timeline = plan.compile();
-    let (report, registry) = cluster.run_windowed_observed(
-        arrivals,
+    let spec = RunSpec {
         detail,
-        &timeline,
         window,
         threads,
-        online_window_ns,
-    );
-    (
-        assemble_fault_report(cluster, report, detail, plan),
-        registry,
-    )
+        obs: online_request(ObsRequest::online(online_window_ns)),
+    };
+    let out = run_with_faults(cluster, arrivals, plan, &spec);
+    (out.report, out.registry.expect(ONLINE_REGISTRY))
 }
 
-/// [`run_with_faults_windowed`] with **both** observability planes
-/// attached — the entry point `trace_report --slo` and the invariant-13
-/// checks use to compare the live registry against the trace oracle and
-/// to pair fired alerts with causal attribution.
+/// [`run_with_faults`] with both the flight recorder and the online
+/// metric plane attached, at an explicit window mode and thread count.
+///
+/// # Panics
+///
+/// Panics before simulating if `online_window_ns` is zero (a zero width
+/// turns the online plane off).
 #[must_use]
 pub fn run_with_faults_windowed_instrumented<I>(
     cluster: &Cluster,
@@ -828,28 +813,32 @@ pub fn run_with_faults_windowed_instrumented<I>(
     window: SyncWindow,
     threads: usize,
     online_window_ns: u64,
-) -> (
-    FaultReport,
-    inference_obs::QueryTrace,
-    inference_obs::MetricRegistry,
-)
+) -> (FaultReport, QueryTrace, MetricRegistry)
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    let timeline = plan.compile();
-    let (report, trace, registry) = cluster.run_windowed_instrumented(
-        arrivals,
+    let spec = RunSpec {
         detail,
-        &timeline,
         window,
         threads,
-        online_window_ns,
+        obs: online_request(ObsRequest::instrumented(online_window_ns)),
+    };
+    let out = run_with_faults(cluster, arrivals, plan, &spec);
+    let registry = out.registry.expect(ONLINE_REGISTRY);
+    (out.report, out.trace.unwrap_or_default(), registry)
+}
+
+/// A non-zero online window always streams a registry.
+const ONLINE_REGISTRY: &str = "a non-zero online window streams a registry";
+
+/// Rejects a zero `online_window_ns` before a run that must return a
+/// registry, instead of after simulating it.
+fn online_request(obs: ObsRequest) -> ObsRequest {
+    assert!(
+        obs.online_window_ns > 0,
+        "online_window_ns must be positive: zero turns the online plane off"
     );
-    (
-        assemble_fault_report(cluster, report, detail, plan),
-        trace,
-        registry,
-    )
+    obs
 }
 
 /// The availability / degraded-tail / per-class post-processing shared by
@@ -1114,13 +1103,11 @@ mod tests {
         );
         let s0 = &cluster.shards()[0];
         let trace = steady_trace(s0, 1.2, 1.0, 17);
-        let plain = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-        let faulted = run_with_faults(
-            &cluster,
-            unpinned(&trace),
-            ReportDetail::Full,
-            &FaultPlan::new(),
-        );
+        let full = RunSpec::new(ReportDetail::Full);
+        let plain = cluster
+            .simulate(unpinned(&trace), &FaultTimeline::empty(), &full)
+            .report;
+        let faulted = run_with_faults(&cluster, unpinned(&trace), &FaultPlan::new(), &full).report;
         assert_eq!(faulted.base_availability, 1.0);
         assert_eq!(faulted.effective_availability, 1.0);
         assert_eq!(faulted.outage_gpu_seconds, 0.0);
@@ -1144,7 +1131,8 @@ mod tests {
         let cluster = Cluster::new(vec![shard(2, &t, &dist)], RouterPolicy::JoinShortestQueue);
         let trace = steady_trace(&cluster.shards()[0], 1.2, 3.0, 19);
         let plan = FaultPlan::new().with_gpu_outage(0, 0, 0.5, 1.5);
-        let report = run_with_faults(&cluster, unpinned(&trace), ReportDetail::Full, &plan);
+        let full = RunSpec::new(ReportDetail::Full);
+        let report = run_with_faults(&cluster, unpinned(&trace), &plan, &full).report;
         assert_conserved(&report.cluster, &trace);
         // One of two GPUs out for ~1 s of a ~3 s run: availability ≈ 5/6.
         assert!(
@@ -1203,8 +1191,9 @@ mod tests {
         )
         .generate();
         let plan = FaultPlan::new().with_gpu_outage(0, 0, 0.8, 3.0);
-        let bare = run_with_faults(&mk(false), unpinned(&trace), ReportDetail::Full, &plan);
-        let loaned = run_with_faults(&mk(true), unpinned(&trace), ReportDetail::Full, &plan);
+        let full = RunSpec::new(ReportDetail::Full);
+        let bare = run_with_faults(&mk(false), unpinned(&trace), &plan, &full).report;
+        let loaned = run_with_faults(&mk(true), unpinned(&trace), &plan, &full).report;
         assert_conserved(&bare.cluster, &trace);
         assert_conserved(&loaned.cluster, &trace);
         assert!(
@@ -1298,5 +1287,143 @@ mod tests {
         let _ = FaultPlan::new()
             .with_gpu_outage(0, 0, 0.5, 1.5)
             .with_gpu_outage(0, 0, 1.0, 2.0);
+    }
+
+    /// A faulted 2-shard cluster and a trace that keeps both shards busy
+    /// through a GPU outage on shard 0 and a shard outage on shard 1.
+    fn faulted_pair() -> (Cluster, Vec<TaggedQuerySpec>, FaultPlan) {
+        let t = table();
+        let dist = BatchDistribution::paper_default();
+        let cluster = Cluster::new(
+            vec![shard(2, &t, &dist), shard(2, &t, &dist)],
+            RouterPolicy::JoinShortestQueue,
+        );
+        let trace = steady_trace(&cluster.shards()[0], 2.0, 1.2, 37);
+        let plan = FaultPlan::new()
+            .with_gpu_outage(0, 0, 0.2, 0.7)
+            .with_shard_outage(1, 0.5, 0.9);
+        (cluster, trace, plan)
+    }
+
+    #[test]
+    fn windowed_forms_are_the_general_run() {
+        // Each fixed-signature form is exactly `run_with_faults` with the
+        // matching ObsRequest: same report bytes, trace records and
+        // registry bytes, in both window modes.
+        let (cluster, trace, plan) = faulted_pair();
+        let detail = ReportDetail::Full;
+        let online_ns = 100_000_000;
+        let bytes = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        let lookahead = SyncWindow::Lookahead(des_engine::SimDuration::from_nanos(1_000_000));
+        for window in [SyncWindow::PerEvent, lookahead] {
+            let general = |obs| {
+                let spec = RunSpec {
+                    detail,
+                    window,
+                    threads: 1,
+                    obs,
+                };
+                run_with_faults(&cluster, unpinned(&trace), &plan, &spec)
+            };
+            let off = general(ObsRequest::OFF);
+            assert!(off.trace.is_none() && off.registry.is_none());
+            let report =
+                run_with_faults_windowed(&cluster, unpinned(&trace), detail, &plan, window, 1);
+            assert_eq!(bytes(&report), bytes(&off.report), "{window:?}");
+
+            let traced = general(ObsRequest::traced());
+            assert!(traced.registry.is_none());
+            let (report, qt) = run_with_faults_windowed_traced(
+                &cluster,
+                unpinned(&trace),
+                detail,
+                &plan,
+                window,
+                1,
+            );
+            assert_eq!(bytes(&report), bytes(&traced.report), "{window:?}");
+            let records = traced.trace.as_ref().map(QueryTrace::records);
+            assert_eq!(Some(qt.records()), records, "{window:?}");
+
+            let observed = general(ObsRequest::online(online_ns));
+            assert!(observed.trace.is_none());
+            let (report, reg) = run_with_faults_windowed_observed(
+                &cluster,
+                unpinned(&trace),
+                detail,
+                &plan,
+                window,
+                1,
+                online_ns,
+            );
+            assert_eq!(bytes(&report), bytes(&observed.report), "{window:?}");
+            let registry = observed.registry.as_ref().map(|r| bytes(r));
+            assert_eq!(Some(bytes(&reg)), registry, "{window:?}");
+
+            let both = general(ObsRequest::instrumented(online_ns));
+            let (report, qt, reg) = run_with_faults_windowed_instrumented(
+                &cluster,
+                unpinned(&trace),
+                detail,
+                &plan,
+                window,
+                1,
+                online_ns,
+            );
+            assert_eq!(bytes(&report), bytes(&both.report), "{window:?}");
+            let records = both.trace.as_ref().map(QueryTrace::records);
+            assert_eq!(Some(qt.records()), records, "{window:?}");
+            let registry = both.registry.as_ref().map(|r| bytes(r));
+            assert_eq!(Some(bytes(&reg)), registry, "{window:?}");
+            // Observation never changes the report (invariant 12).
+            assert_eq!(bytes(&both.report), bytes(&off.report), "{window:?}");
+        }
+    }
+
+    #[test]
+    fn zero_online_window_streams_no_registry() {
+        let (cluster, trace, plan) = faulted_pair();
+        let spec = RunSpec {
+            obs: ObsRequest::online(0),
+            ..RunSpec::new(ReportDetail::Summary)
+        };
+        let out = run_with_faults(&cluster, unpinned(&trace), &plan, &spec);
+        assert!(out.registry.is_none() && out.trace.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "online_window_ns must be positive")]
+    fn observed_form_rejects_a_zero_online_window() {
+        let cluster = Cluster::new(
+            vec![shard(1, &table(), &BatchDistribution::paper_default())],
+            RouterPolicy::JoinShortestQueue,
+        );
+        let _ = run_with_faults_windowed_observed(
+            &cluster,
+            std::iter::empty(),
+            ReportDetail::Summary,
+            &FaultPlan::new(),
+            SyncWindow::PerEvent,
+            1,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "online_window_ns must be positive")]
+    fn instrumented_form_rejects_a_zero_online_window() {
+        let cluster = Cluster::new(
+            vec![shard(1, &table(), &BatchDistribution::paper_default())],
+            RouterPolicy::JoinShortestQueue,
+        );
+        let _ = run_with_faults_windowed_instrumented(
+            &cluster,
+            std::iter::empty(),
+            ReportDetail::Summary,
+            &FaultPlan::new(),
+            SyncWindow::PerEvent,
+            1,
+            0,
+        );
     }
 }

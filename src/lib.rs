@@ -65,7 +65,7 @@ pub use server_metrics as metrics;
 pub mod prelude {
     pub use crate::cluster::{
         Cluster, ClusterReport, FaultEvent, FaultTimeline, LoanDemandModel, LoanPolicy,
-        RouterPolicy, ShedPolicy, SyncWindow,
+        RouterPolicy, RunOutput, RunSpec, ShedPolicy, SyncWindow,
     };
     pub use crate::des::{SimDuration, SimTime};
     pub use crate::dnn::{ModelGraph, ModelKind};
@@ -76,8 +76,8 @@ pub mod prelude {
         WindowedTail,
     };
     pub use crate::obs::{
-        analyze, check_conservation, ChromeTraceWriter, FlightRecorder, MetricRegistry, QueryTrace,
-        TraceEvent, TraceSink,
+        analyze, check_conservation, ChromeTraceWriter, FlightRecorder, MetricRegistry, ObsRequest,
+        QueryTrace, TraceEvent, TraceSink,
     };
     pub use crate::paris::{
         homogeneous_plan, random_plan, Elsa, ElsaConfig, GpcBudget, Paris, PartitionPlan,

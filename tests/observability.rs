@@ -15,10 +15,7 @@
 
 use paris_elsa::cluster::{Cluster, RouterPolicy, ShedPolicy, SyncWindow};
 use paris_elsa::dnn::ModelKind;
-use paris_elsa::faults::{
-    run_with_faults_windowed, run_with_faults_windowed_instrumented,
-    run_with_faults_windowed_traced, FaultPlan, FaultTopology,
-};
+use paris_elsa::faults::{FaultPlan, FaultReport, FaultTopology};
 use paris_elsa::obs::{
     alert_records, analyze, attribute_alerts, attribute_window, check_conservation, evaluate_slos,
     worst_window, MetricRegistry, QueryTrace, SloSpec, WindowAttribution,
@@ -72,25 +69,35 @@ fn arrivals(cluster: &Cluster, duration_s: f64, frac: f64, seed: u64) -> Vec<Tag
     .generate()
 }
 
+/// One unpinned run of `trace_in` under `plan`, driven as `spec` says.
+fn run(
+    cluster: &Cluster,
+    trace_in: &[TaggedQuerySpec],
+    plan: &FaultPlan,
+    spec: RunSpec,
+) -> RunOutput<FaultReport> {
+    run_with_faults(cluster, trace_in.iter().map(|&tq| (None, tq)), plan, &spec)
+}
+
 /// The unit suite's fixture: a mid-run rack outage on shard 0 under
 /// moderate overload, traced at the given sync window and thread count.
 fn traced_outage_run(
     table: &ProfileTable,
     window: SyncWindow,
     threads: usize,
-) -> (paris_elsa::faults::FaultReport, QueryTrace) {
+) -> (FaultReport, QueryTrace) {
     let cluster = small_cluster(table, RouterPolicy::JoinShortestQueue);
     let trace_in = arrivals(&cluster, 1.0, 0.8, 7);
     let topology = FaultTopology::racks(&[2, 2], 2);
     let plan = FaultPlan::new().with_domain_outage(&topology, "rack0", 0.3, 0.7);
-    run_with_faults_windowed_traced(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
-        &plan,
+    let spec = RunSpec {
+        detail: ReportDetail::Summary,
         window,
         threads,
-    )
+        obs: ObsRequest::traced(),
+    };
+    let out = run(&cluster, &trace_in, &plan, spec);
+    (out.report, out.trace.expect("traced run"))
 }
 
 #[test]
@@ -252,22 +259,15 @@ proptest! {
 
         let mut traces: Vec<QueryTrace> = Vec::new();
         for threads in [1usize, 4] {
-            let untraced = run_with_faults_windowed(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &plan,
+            let spec = RunSpec {
+                detail: ReportDetail::Full,
                 window,
                 threads,
-            );
-            let (traced, trace) = run_with_faults_windowed_traced(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &plan,
-                window,
-                threads,
-            );
+                obs: ObsRequest::OFF,
+            };
+            let untraced = run(&cluster, &trace_in, &plan, spec).report;
+            let out = run(&cluster, &trace_in, &plan, RunSpec { obs: ObsRequest::traced(), ..spec });
+            let (traced, trace) = (out.report, out.trace.expect("traced run"));
             prop_assert_eq!(
                 format!("{untraced:?}"),
                 format!("{traced:?}"),
@@ -325,15 +325,15 @@ proptest! {
 
         let mut registries: Vec<MetricRegistry> = Vec::new();
         for threads in [1usize, 4] {
-            let (_, trace, registry) = run_with_faults_windowed_instrumented(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Summary,
-                &plan,
+            let spec = RunSpec {
+                detail: ReportDetail::Summary,
                 window,
                 threads,
-                window_ns,
-            );
+                obs: ObsRequest::instrumented(window_ns),
+            };
+            let out = run(&cluster, &trace_in, &plan, spec);
+            let trace = out.trace.expect("traced run");
+            let registry = out.registry.expect("online run");
             let oracle = MetricRegistry::from_trace(&trace, window_ns, &[14, 14]);
             prop_assert_eq!(
                 &registry,
@@ -386,15 +386,13 @@ proptest! {
         ];
         let mut logs: Vec<String> = Vec::new();
         for threads in [1usize, 4] {
-            let (_, registry) = paris_elsa::faults::run_with_faults_windowed_observed(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Summary,
-                &plan,
+            let spec = RunSpec {
+                detail: ReportDetail::Summary,
                 window,
                 threads,
-                50_000_000,
-            );
+                obs: ObsRequest::online(50_000_000),
+            };
+            let registry = run(&cluster, &trace_in, &plan, spec).registry.expect("online run");
             logs.push(format!("{:?}", evaluate_slos(&registry, &specs)));
         }
         prop_assert_eq!(
@@ -449,14 +447,16 @@ fn alert_attribution_matches_golden_values() {
         .with_domain_outage(&topology, "rack0", 0.4, 0.7)
         .with_domain_outage(&topology, "rack1", 1.1, 1.3);
     let window_ns = 100_000_000;
-    let (_, trace, registry) = run_with_faults_windowed_instrumented(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
-        &plan,
-        SyncWindow::PerEvent,
-        1,
-        window_ns,
+    let spec = RunSpec {
+        detail: ReportDetail::Summary,
+        window: SyncWindow::PerEvent,
+        threads: 1,
+        obs: ObsRequest::instrumented(window_ns),
+    };
+    let out = run(&cluster, &trace_in, &plan, spec);
+    let (trace, registry) = (
+        out.trace.expect("traced run"),
+        out.registry.expect("online run"),
     );
     let specs = [
         SloSpec::new("premium-avail", 0, 0.9).with_windows(1, 3),

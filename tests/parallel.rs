@@ -28,6 +28,15 @@ const WINDOW_NS: u64 = 1_000_000;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// A full-detail run at the given window mode and lane thread count.
+fn full(window: SyncWindow, threads: usize) -> RunSpec {
+    RunSpec {
+        window,
+        threads,
+        ..RunSpec::new(ReportDetail::Full)
+    }
+}
+
 fn mobilenet_table() -> ProfileTable {
     let perf = PerfModel::new(DeviceSpec::a100());
     ProfileTable::profile(&ModelKind::MobileNet.build(), &perf, &ProfileSize::ALL, 32)
@@ -165,13 +174,10 @@ fn run_all_threads(
     window: SyncWindow,
 ) -> ClusterReport {
     let run = |threads: usize| {
-        cluster.run_windowed(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            timeline,
-            window,
-            threads,
-        )
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        cluster
+            .simulate(arrivals, timeline, &full(window, threads))
+            .report
     };
     let reference = run(THREADS[0]);
     let want = format!("{reference:?}");
@@ -277,13 +283,9 @@ fn loan_transfer_across_the_sync_boundary_conserves_pool_and_queries() {
         SyncWindow::PerEvent,
     ] {
         let run = |threads: usize| {
-            cluster.run_windowed(
-                pinned.iter().copied(),
-                ReportDetail::Full,
-                &FaultTimeline::empty(),
-                window,
-                threads,
-            )
+            let spec = full(window, threads);
+            let report = cluster.simulate(pinned.iter().copied(), &FaultTimeline::empty(), &spec);
+            report.report
         };
         let reference = run(1);
         let want = format!("{reference:?}");
@@ -375,13 +377,10 @@ fn shard_fail_during_borrow_returns_the_loan_and_serves_everything() {
         SyncWindow::PerEvent,
     ] {
         let run = |threads: usize| {
-            cluster.run_windowed(
-                pinned.iter().copied(),
-                ReportDetail::Full,
-                &timeline,
-                window,
-                threads,
-            )
+            let spec = full(window, threads);
+            cluster
+                .simulate(pinned.iter().copied(), &timeline, &spec)
+                .report
         };
         let reference = run(1);
         let want = format!("{reference:?}");
@@ -431,13 +430,15 @@ fn lane_capacity_hints_cover_peak_pending() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let report = cluster.run_windowed(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Summary,
-            &FaultTimeline::default(),
+        let spec = RunSpec {
             window,
-            1,
-        );
+            threads: 1,
+            ..RunSpec::new(ReportDetail::Summary)
+        };
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let report = cluster
+            .simulate(arrivals, &FaultTimeline::default(), &spec)
+            .report;
         for (s, shard_report) in report.per_shard.iter().enumerate() {
             assert!(
                 shard_report.peak_pending_events <= hints[s],
@@ -518,13 +519,10 @@ fn lookahead_fleet_matches_golden_values() {
             FaultEvent::ShardRepair { shard: 2 },
         ),
     ]);
-    let report = cluster.run_windowed(
-        pinned.iter().copied(),
-        ReportDetail::Full,
-        &timeline,
-        SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
-        1,
-    );
+    let window = SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS));
+    let report = cluster
+        .simulate(pinned.iter().copied(), &timeline, &full(window, 1))
+        .report;
     assert_conserved(&report, pinned.len());
     let loans: Vec<(usize, i64)> = report
         .loans

@@ -751,12 +751,9 @@ proptest! {
         let plan = FaultPlan::sample_gpu_mttf(&[2, 2], mttf_s, mttr_s, 1.2, seed)
             .with_shard_outage(1, shard_fail_s, 0.9)
             .with_gpu_degrade(0, 0, degrade_factor, degrade_at, degrade_at + 0.4);
-        let report = run_with_faults(
-            &cluster,
-            trace.iter().copied().map(|tq| (None, tq)),
-            paris_elsa::server::ReportDetail::Full,
-            &plan,
-        );
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let spec = RunSpec::new(ReportDetail::Full);
+        let report = run_with_faults(&cluster, arrivals, &plan, &spec).report;
         let completed: u64 = report
             .cluster
             .per_shard
@@ -835,12 +832,9 @@ proptest! {
                 .generate();
         let topo = FaultTopology::racks(&shard_gpus, gpus_per_rack);
         let plan = FaultPlan::sample_domain_mttf(&topo, mttf_s, mttr_s, 1.2, seed);
-        let report = run_with_faults(
-            &cluster,
-            trace.iter().copied().map(|tq| (None, tq)),
-            paris_elsa::server::ReportDetail::Full,
-            &plan,
-        );
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let spec = RunSpec::new(ReportDetail::Full);
+        let report = run_with_faults(&cluster, arrivals, &plan, &spec).report;
         let completed: usize = report
             .cluster
             .per_shard
@@ -891,12 +885,8 @@ proptest! {
             MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(rate, dist)])], seed)
                 .generate();
         let run = |plan: &FaultPlan| {
-            run_with_faults(
-                &cluster,
-                trace.iter().copied().map(|tq| (None, tq)),
-                paris_elsa::server::ReportDetail::Full,
-                plan,
-            )
+            let arrivals = trace.iter().map(|&tq| (None, tq));
+            run_with_faults(&cluster, arrivals, plan, &RunSpec::new(ReportDetail::Full)).report
         };
         let plain = run(&FaultPlan::new());
         let unit = run(
@@ -990,13 +980,13 @@ proptest! {
             SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000))
         };
         let run = |threads: usize| {
-            cluster.run_windowed(
-                trace.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &timeline,
+            let spec = RunSpec {
                 window,
                 threads,
-            )
+                ..RunSpec::new(ReportDetail::Full)
+            };
+            let arrivals = trace.iter().map(|&tq| (None, tq));
+            cluster.simulate(arrivals, &timeline, &spec).report
         };
         let reference = format!("{:?}", run(1));
         for threads in [2usize, 4, 8] {
