@@ -77,7 +77,40 @@ fn bucket_high(bucket: usize) -> u64 {
     if exp == 0 {
         bucket_low(bucket)
     } else {
-        bucket_low(bucket) + (1u64 << (exp - 1)) - 1
+        // Width minus one first: the top bucket ends at `u64::MAX`.
+        bucket_low(bucket) + ((1u64 << (exp - 1)) - 1)
+    }
+}
+
+/// The largest latency that still meets `sla_ns` under the histogram's
+/// bucket rule: a sample violates the SLA when it lands in a bucket above
+/// the SLA's, or in the SLA's own bucket when that bucket's midpoint
+/// exceeds the SLA. A latency is a violation exactly when it is greater
+/// than this threshold, so a caller that keeps no histogram (the online
+/// telemetry plane's per-bin tallies) judges completions the way
+/// [`LatencyHistogram::violations`] counts them.
+///
+/// # Examples
+///
+/// ```
+/// use server_metrics::{violation_threshold_ns, LatencyHistogram};
+///
+/// let threshold = violation_threshold_ns(1_000_000);
+/// for latency in [999_000u64, threshold, threshold + 1] {
+///     let hist: LatencyHistogram = [latency].into_iter().collect();
+///     assert_eq!(hist.violations(1_000_000) == 1, latency > threshold);
+/// }
+/// ```
+#[must_use]
+pub fn violation_threshold_ns(sla_ns: u64) -> u64 {
+    let bucket = bucket_of(sla_ns);
+    let (low, high) = (bucket_low(bucket), bucket_high(bucket));
+    // A midpoint above the SLA only happens in buckets wider than one value,
+    // whose lower bound is at least `SUB_BUCKETS`, so `low - 1` cannot wrap.
+    if low.midpoint(high) > sla_ns {
+        low - 1
+    } else {
+        high
     }
 }
 
@@ -198,18 +231,15 @@ impl LatencyHistogram {
         self.percentile_ms(0.95)
     }
 
-    /// Approximate number of samples exceeding `sla_ns`: buckets are
-    /// counted by their midpoint, so samples within one bucket width of
-    /// the threshold may be mis-attributed.
+    /// Approximate number of samples exceeding `sla_ns`: the samples above
+    /// [`violation_threshold_ns`], so samples within one bucket width of
+    /// the SLA may be mis-attributed.
     #[must_use]
     pub fn violations(&self, sla_ns: u64) -> u64 {
-        let boundary = bucket_of(sla_ns);
-        self.counts[boundary + 1..].iter().sum::<u64>()
-            + if bucket_low(boundary).midpoint(bucket_high(boundary)) > sla_ns {
-                self.counts[boundary]
-            } else {
-                0
-            }
+        // The threshold is always some bucket's upper bound.
+        self.counts[bucket_of(violation_threshold_ns(sla_ns)) + 1..]
+            .iter()
+            .sum()
     }
 
     /// Fraction of samples exceeding `sla_ns` (0 if empty), to bucket
@@ -379,6 +409,68 @@ mod tests {
         let rate = h.violation_rate(500_000_000);
         assert!((rate - 0.5).abs() < 0.02, "rate {rate}");
         assert_eq!(h.violation_rate(u64::MAX / 2), 0.0);
+    }
+
+    #[test]
+    fn violations_match_the_threshold_rule() {
+        // The bucket rule spelled out: over when the sample lands above the
+        // SLA's bucket, or in it when that bucket's midpoint exceeds the SLA.
+        let bucket_rule = |latency: u64, sla: u64| {
+            let (sample, boundary) = (bucket_of(latency), bucket_of(sla));
+            sample > boundary
+                || (sample == boundary
+                    && bucket_low(boundary).midpoint(bucket_high(boundary)) > sla)
+        };
+        let check = |hist: &LatencyHistogram, latency: u64, sla: u64, threshold: u64| {
+            let over = latency > threshold;
+            assert_eq!(
+                hist.violations(sla) == 1,
+                over,
+                "latency {latency}, SLA {sla}"
+            );
+            assert_eq!(
+                bucket_rule(latency, sla),
+                over,
+                "latency {latency}, SLA {sla}"
+            );
+        };
+        let top = BUCKETS - 1;
+        let fixed: Vec<(u64, LatencyHistogram)> = [
+            0,
+            1,
+            SUB_BUCKETS as u64 - 1,
+            SUB_BUCKETS as u64,
+            1_000,
+            1_000_000,
+            123_456_789,
+            1 << 40,
+            u64::MAX / 2,
+            bucket_low(top),
+            bucket_low(top).midpoint(u64::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ]
+        .into_iter()
+        .map(|v| (v, [v].into_iter().collect()))
+        .collect();
+        for bucket in 0..BUCKETS {
+            let (low, high) = (bucket_low(bucket), bucket_high(bucket));
+            let mid = low.midpoint(high);
+            for sla in [low, high, mid.saturating_sub(1), mid, mid.saturating_add(1)] {
+                let threshold = violation_threshold_ns(sla);
+                for (latency, hist) in &fixed {
+                    check(hist, *latency, sla, threshold);
+                }
+                for latency in [
+                    threshold.saturating_sub(1),
+                    threshold,
+                    threshold.saturating_add(1),
+                ] {
+                    let hist: LatencyHistogram = [latency].into_iter().collect();
+                    check(&hist, latency, sla, threshold);
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod windowed;
 
 pub use breakdown::LatencyBreakdown;
 pub use busy::BusyTracker;
-pub use histogram::LatencyHistogram;
+pub use histogram::{violation_threshold_ns, LatencyHistogram};
 pub use latency::LatencyRecorder;
 pub use throughput::{latency_bounded_throughput, ThroughputPoint};
 pub use windowed::WindowedTail;

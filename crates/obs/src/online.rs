@@ -19,16 +19,19 @@
 //!
 //! - counter/gauge bins sum exactly-representable integers in `f64`
 //!   (magnitudes ≪ 2⁵³), so addition order cannot change a single bit;
-//! - latency tails merge all-integer [`WindowedTail`] histograms;
-//! - first-seen SLA attribution keeps a per-lane `(time, key)` minimum and
-//!   resolves cross-lane ties by `(time, key, lane)` — exactly the global
-//!   merged-trace order `from_trace` used to walk.
+//! - SLA violations are integer `(count, over)` tallies per (model, bin),
+//!   summed exactly across lanes. Each completion is judged on its own lane
+//!   against the SLA its own `Arrival` carried (arrivals with `sla_ns == 0`
+//!   are not tallied), with the bucket rule of
+//!   [`LatencyHistogram::violations`](server_metrics::LatencyHistogram::violations)
+//!   via [`violation_threshold_ns`] — the same per-query judgement the
+//!   per-shard run reports make, so no cross-lane resolution is needed.
 //!
 //! Within one lane, the engine's push order and the merged trace's
 //! `(time, key, lane, seq)` order differ only in the ordering of
 //! same-instant records, and every per-lane fold above is invariant under
-//! same-instant reordering (bin sums are commutative; a gauge bin keeps
-//! only the net level; the SLA candidate is a stamp minimum).
+//! same-instant reordering (bin sums and tallies are commutative; a gauge
+//! bin keeps only the net level).
 //!
 //! [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 
@@ -36,9 +39,9 @@ use crate::event::TraceEvent;
 use crate::recorder::{FlightRecorder, TraceSink};
 use crate::registry::{MetricRegistry, MetricSeries};
 use des_engine::SimTime;
-use server_metrics::WindowedTail;
+use server_metrics::violation_threshold_ns;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a run should observe: a retained trace, a live metric plane, both,
 /// or (the default) nothing.
@@ -144,8 +147,9 @@ impl TraceSink for ObsSink {
 /// Feed it records through [`TraceSink::record`] in non-decreasing stamp
 /// order (what every engine lane and every merged trace guarantees), then
 /// hand all lanes to [`merge_online`]. State per lane: one `f64` per
-/// touched (series, bin), per-model `WindowedTail`s, and a dense
-/// in-flight-query → model map that shrinks as queries complete.
+/// touched (series, bin), one `(count, over)` pair of `u32`s per touched
+/// (model, bin), and a dense in-flight-query → (model, threshold) map that
+/// shrinks as queries complete.
 #[derive(Debug, Clone)]
 pub struct OnlineLane {
     lane: u32,
@@ -176,18 +180,17 @@ pub struct OnlineLane {
     routed: Vec<f64>,
     shed: Vec<f64>,
     loaned: Vec<f64>,
-    /// model → windowed latency histograms (merged histogram-wise later),
-    /// indexed by group id — model ids are small and dense, so a direct
-    /// vector keeps the per-completion hot path to one bounds check.
-    tails: Vec<Option<WindowedTail>>,
-    /// model → `(at_ns, key, sla_ns)` of the earliest-stamped SLA-carrying
-    /// arrival this lane saw, indexed by group id.
-    slas: Vec<Option<(u64, u64, u64)>>,
-    /// In-flight query → model, indexed by `query - groups_base`
-    /// (`usize::MAX` = consumed/unknown). Completions punch holes and the
-    /// base advances past the consumed prefix, so the deque tracks the
+    /// model → per-bin `(completions, violations)` tallies, indexed by
+    /// group id — model ids are small and dense, so a direct vector keeps
+    /// the per-completion hot path to one bounds check. A lane completes
+    /// far fewer than 2³² queries in one bin.
+    tallies: Vec<Vec<(u32, u32)>>,
+    /// In-flight query → (model, [`violation_threshold_ns`] of the SLA its
+    /// arrival carried), indexed by `query - groups_base` ([`VACANT`] =
+    /// consumed, unknown or without an SLA). Completions punch holes and
+    /// the base advances past the consumed prefix, so the deque tracks the
     /// outstanding window, not the whole run.
-    groups: VecDeque<usize>,
+    groups: VecDeque<(usize, u64)>,
     groups_base: u64,
 }
 
@@ -228,8 +231,7 @@ impl OnlineLane {
             routed: Vec::new(),
             shed: Vec::new(),
             loaned: Vec::new(),
-            tails: Vec::new(),
-            slas: Vec::new(),
+            tallies: Vec::new(),
             groups: VecDeque::new(),
             groups_base: 0,
         }
@@ -272,44 +274,32 @@ impl OnlineLane {
         self.out_touched = true;
     }
 
-    fn note_sla(&mut self, group: usize, at_ns: u64, key: u64, sla_ns: u64) {
-        if group >= self.slas.len() {
-            self.slas.resize(group + 1, None);
-        }
-        let slot = &mut self.slas[group];
-        let keep =
-            matches!(*slot, Some((prev_at, prev_key, _)) if (prev_at, prev_key) <= (at_ns, key));
-        if !keep {
-            *slot = Some((at_ns, key, sla_ns));
-        }
-    }
-
-    fn set_group(&mut self, query: u64, group: usize) {
+    fn set_group(&mut self, query: u64, group: usize, threshold_ns: u64) {
         if query < self.groups_base {
             return; // malformed re-arrival of a consumed id
         }
         let idx = (query - self.groups_base) as usize;
         if idx >= self.groups.len() {
-            self.groups.resize(idx + 1, usize::MAX);
+            self.groups.resize(idx + 1, VACANT);
         }
-        self.groups[idx] = group;
+        self.groups[idx] = (group, threshold_ns);
     }
 
-    fn take_group(&mut self, query: u64) -> Option<usize> {
+    fn take_group(&mut self, query: u64) -> Option<(usize, u64)> {
         if query < self.groups_base {
             return None;
         }
         let idx = (query - self.groups_base) as usize;
-        let group = *self.groups.get(idx)?;
-        if group == usize::MAX {
+        let entry = *self.groups.get(idx)?;
+        if entry == VACANT {
             return None;
         }
-        self.groups[idx] = usize::MAX;
-        while self.groups.front() == Some(&usize::MAX) {
+        self.groups[idx] = VACANT;
+        while self.groups.front() == Some(&VACANT) {
             self.groups.pop_front();
             self.groups_base += 1;
         }
-        Some(group)
+        Some(entry)
     }
 
     fn service(&mut self, at_ns: u64, gpcs: u32, actual_ns: u64) {
@@ -358,6 +348,9 @@ impl OnlineLane {
     }
 }
 
+/// An empty slot of [`OnlineLane`]'s in-flight map.
+const VACANT: (usize, u64) = (usize::MAX, 0);
+
 #[inline]
 fn bump(values: &mut Vec<f64>, bin: usize, delta: f64) {
     if bin >= values.len() {
@@ -371,7 +364,7 @@ impl TraceSink for OnlineLane {
     /// composite [`ObsSink`] dispatch stays small: trace-only and disabled
     /// sinks never pay this body in their instruction stream.
     #[inline(never)]
-    fn record(&mut self, at: SimTime, key: u64, event: TraceEvent) {
+    fn record(&mut self, at: SimTime, _key: u64, event: TraceEvent) {
         let at_ns = at.as_nanos();
         // Stamps are non-decreasing per lane (debug-asserted in `bin`), so
         // the latest stamp IS the horizon — no compare needed.
@@ -387,9 +380,8 @@ impl TraceSink for OnlineLane {
                 self.out_level += 1;
                 self.sample_out(bin);
                 if sla_ns > 0 {
-                    self.note_sla(group, at_ns, key, sla_ns);
+                    self.set_group(query, group, violation_threshold_ns(sla_ns));
                 }
-                self.set_group(query, group);
             }
             TraceEvent::Complete {
                 query, latency_ns, ..
@@ -397,14 +389,16 @@ impl TraceSink for OnlineLane {
                 let bin = self.bin(at_ns);
                 self.out_level -= 1;
                 self.sample_out(bin);
-                if let Some(group) = self.take_group(query) {
-                    if group >= self.tails.len() {
-                        self.tails.resize_with(group + 1, || None);
+                if let Some((group, threshold_ns)) = self.take_group(query) {
+                    if group >= self.tallies.len() {
+                        self.tallies.resize_with(group + 1, Vec::new);
                     }
-                    let window_ns = self.window_ns;
-                    self.tails[group]
-                        .get_or_insert_with(|| WindowedTail::new(window_ns))
-                        .record_at(bin, latency_ns);
+                    let bins = &mut self.tallies[group];
+                    if bin >= bins.len() {
+                        bins.resize(bin + 1, (0, 0));
+                    }
+                    bins[bin].0 += 1;
+                    bins[bin].1 += u32::from(latency_ns > threshold_ns);
                 }
             }
             TraceEvent::ServiceStart {
@@ -456,12 +450,17 @@ pub fn merge_online(
     let mut routed = vec![0.0f64; windows];
     let mut shed = vec![0.0f64; windows];
     let mut loan_deltas = vec![0.0f64; windows];
-    let mut tails: BTreeMap<usize, WindowedTail> = BTreeMap::new();
-    // model → (at, key, lane, sla): cross-lane first-seen resolution.
-    let mut slas: BTreeMap<usize, (u64, u64, u32, u64)> = BTreeMap::new();
+    // model → per-bin (completions, violations), empty for unseen models.
+    let mut tallies: Vec<Vec<(u64, u64)>> = Vec::new();
 
     for lane in &mut lanes {
-        debug_assert_eq!(lane.window_ns, window_ns, "lanes must share the grid");
+        assert!(
+            lane.window_ns == window_ns,
+            "lane {} bins on a {} ns grid but the merge grid is {} ns",
+            lane.lane,
+            lane.window_ns,
+            window_ns
+        );
         if lane.out_touched {
             let mut values = std::mem::take(&mut lane.out);
             values.resize(windows, f64::NAN);
@@ -508,33 +507,18 @@ pub fn merge_online(
         for (b, &v) in lane.loaned.iter().enumerate() {
             loan_deltas[b] += v;
         }
-        for (model, tail) in lane
-            .tails
-            .iter()
-            .enumerate()
-            .filter_map(|(m, t)| t.as_ref().map(|t| (m, t)))
-        {
-            tails
-                .entry(model)
-                .or_insert_with(|| WindowedTail::new(window_ns))
-                .merge(tail);
-        }
-        for (model, &(at, key, sla)) in lane
-            .slas
-            .iter()
-            .enumerate()
-            .filter_map(|(m, s)| s.as_ref().map(|s| (m, s)))
-        {
-            match slas.entry(model) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((at, key, lane.lane, sla));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let (pa, pk, pl, _) = *o.get();
-                    if (at, key, lane.lane) < (pa, pk, pl) {
-                        o.insert((at, key, lane.lane, sla));
-                    }
-                }
+        for (model, bins) in lane.tallies.iter().enumerate() {
+            if bins.is_empty() {
+                continue;
+            }
+            if model >= tallies.len() {
+                tallies.resize_with(model + 1, Vec::new);
+            }
+            let merged = &mut tallies[model];
+            merged.resize(windows, (0, 0));
+            for (sum, &(count, over)) in merged.iter_mut().zip(bins) {
+                sum.0 += u64::from(count);
+                sum.1 += u64::from(over);
             }
         }
     }
@@ -568,15 +552,19 @@ pub fn merge_online(
         });
     }
 
-    // Per-model SLA violation rate off the merged WindowedTail bins.
-    for (&model, tail) in &tails {
-        let Some(&(_, _, _, sla)) = slas.get(&model) else {
+    // Per-model SLA violation rate off the merged tallies.
+    for (model, bins) in tallies.iter().enumerate() {
+        if bins.is_empty() {
             continue;
-        };
-        let values = (0..windows)
-            .map(|idx| match tail.histogram(idx) {
-                Some(h) if !h.is_empty() => h.violation_rate(sla),
-                _ => 0.0,
+        }
+        let values = bins
+            .iter()
+            .map(|&(count, over)| {
+                if count > 0 {
+                    over as f64 / count as f64
+                } else {
+                    0.0
+                }
             })
             .collect();
         series.push(MetricSeries {
@@ -592,6 +580,12 @@ pub fn merge_online(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::QueryTrace;
+    use server_metrics::LatencyHistogram;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// One lane's records in push order: `(at_ns, key, event)`.
+    type LaneRecords = Vec<(u64, u64, TraceEvent)>;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -610,10 +604,10 @@ mod tests {
     fn groups_deque_reclaims_completed_prefix() {
         let mut lane = OnlineLane::new(0, 1_000);
         for q in 0..100u64 {
-            lane.set_group(q, (q % 2) as usize);
+            lane.set_group(q, (q % 2) as usize, 7);
         }
         for q in 0..99u64 {
-            assert_eq!(lane.take_group(q), Some((q % 2) as usize));
+            assert_eq!(lane.take_group(q), Some(((q % 2) as usize, 7)));
         }
         assert_eq!(lane.groups_base, 99, "consumed prefix reclaimed");
         assert!(lane.groups.len() <= 1);
@@ -668,5 +662,284 @@ mod tests {
         assert_eq!(fwd, rev);
         assert_eq!(fwd.windows(), 3);
         assert!(fwd.get("model0/sla_violation_rate").is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0 bins on a 2000 ns grid but the merge grid is 1000 ns")]
+    fn merge_rejects_a_lane_on_another_grid() {
+        let _ = merge_online(1_000, [OnlineLane::new(0, 2_000)], &[]);
+    }
+
+    fn arrival(query: u64, group: usize, at_ns: u64, sla_ns: u64) -> TraceEvent {
+        TraceEvent::Arrival {
+            query,
+            group,
+            batch: 1,
+            dispatched_ns: at_ns,
+            sla_ns,
+        }
+    }
+
+    fn completion(query: u64, latency_ns: u64) -> TraceEvent {
+        TraceEvent::Complete {
+            query,
+            worker: 0,
+            latency_ns,
+        }
+    }
+
+    /// The online plane and `from_trace` over the same per-lane records.
+    fn online_and_oracle(
+        lanes: &[LaneRecords],
+        window_ns: u64,
+    ) -> (MetricRegistry, MetricRegistry) {
+        let mut online = Vec::new();
+        let mut recorders = Vec::new();
+        for (lane, records) in (0u32..).zip(lanes) {
+            let mut sink = ObsSink::for_request(ObsRequest::instrumented(window_ns), lane, 0);
+            for &(at, key, event) in records {
+                sink.record(t(at), key, event);
+            }
+            online.extend(sink.online);
+            recorders.extend(sink.trace);
+        }
+        let oracle = MetricRegistry::from_trace(&QueryTrace::merge(recorders), window_ns, &[]);
+        (merge_online(window_ns, online, &[]), oracle)
+    }
+
+    /// The fold the tallies replaced: a latency histogram per (model, bin),
+    /// read back by `violation_rate` against the model's first-seen SLA
+    /// (the earliest `(time, key, lane)` SLA-carrying arrival). Returns
+    /// `registry` with its `sla_violation_rate` series recomputed that way.
+    fn histogram_reference(lanes: &[LaneRecords], registry: &MetricRegistry) -> MetricRegistry {
+        let window_ns = registry.window_ns();
+        let mut tails: BTreeMap<usize, Vec<LatencyHistogram>> = BTreeMap::new();
+        let mut slas: BTreeMap<usize, (u64, u64, u32, u64)> = BTreeMap::new();
+        for (lane, records) in (0u32..).zip(lanes) {
+            let mut in_flight: HashMap<u64, usize> = HashMap::new();
+            for &(at, key, event) in records {
+                match event {
+                    TraceEvent::Arrival {
+                        query,
+                        group,
+                        sla_ns,
+                        ..
+                    } => {
+                        in_flight.insert(query, group);
+                        if sla_ns > 0 {
+                            let first = slas.entry(group).or_insert((at, key, lane, sla_ns));
+                            if (at, key, lane) < (first.0, first.1, first.2) {
+                                *first = (at, key, lane, sla_ns);
+                            }
+                        }
+                    }
+                    TraceEvent::Complete {
+                        query, latency_ns, ..
+                    } => {
+                        if let Some(group) = in_flight.remove(&query) {
+                            let bins = tails.entry(group).or_default();
+                            let bin = (at / window_ns) as usize;
+                            if bin >= bins.len() {
+                                bins.resize_with(bin + 1, LatencyHistogram::new);
+                            }
+                            bins[bin].record(latency_ns);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut series: Vec<MetricSeries> = registry
+            .series()
+            .iter()
+            .filter(|s| !s.name.ends_with("/sla_violation_rate"))
+            .cloned()
+            .collect();
+        for (model, bins) in &tails {
+            let Some(&(.., sla)) = slas.get(model) else {
+                continue;
+            };
+            let values = (0..registry.windows())
+                .map(|b| bins.get(b).map_or(0.0, |h| h.violation_rate(sla)))
+                .collect();
+            series.push(MetricSeries {
+                name: format!("model{model}/sla_violation_rate"),
+                values,
+            });
+        }
+        series.sort_by(|a, b| a.name.cmp(&b.name));
+        MetricRegistry::from_parts(window_ns, registry.windows(), series)
+    }
+
+    /// SplitMix64: a dependency-free seeded stream for the random traces.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random multi-lane trace with one SLA per model: same-instant
+    /// records, multi-bin gaps, latencies on both sides of each SLA's
+    /// threshold, queries still in flight at the end, and lanes that never
+    /// see some models.
+    fn random_lanes(seed: u64, window_ns: u64) -> Vec<LaneRecords> {
+        let mut rng = seed;
+        let models = 1 + (next(&mut rng) % 3) as usize;
+        let slas: Vec<u64> = (0..models)
+            .map(|_| 40 + next(&mut rng) % (4 * window_ns))
+            .collect();
+        (0..1 + next(&mut rng) % 4)
+            .map(|lane| {
+                // Lane 0 sees every model; later lanes a random non-empty subset.
+                let seen: Vec<usize> = (0..models)
+                    .filter(|&m| lane == 0 || m == 0 || next(&mut rng) % 2 == 0)
+                    .collect();
+                let mut records: LaneRecords = Vec::new();
+                let mut at = 0u64;
+                for query in 0..20 + next(&mut rng) % 150 {
+                    at += match next(&mut rng) % 8 {
+                        0..=2 => 0,
+                        3 => window_ns * (2 + next(&mut rng) % 5),
+                        _ => next(&mut rng) % (window_ns / 2),
+                    };
+                    let group = seen[(next(&mut rng) % seen.len() as u64) as usize];
+                    let sla = slas[group];
+                    records.push((at, query, arrival(query, group, at, sla)));
+                    let threshold = violation_threshold_ns(sla);
+                    let latency = match next(&mut rng) % 6 {
+                        0 => threshold,
+                        1 => threshold + 1,
+                        2 => 0,
+                        3 => continue, // still in flight at the end
+                        _ => next(&mut rng) % (2 * sla),
+                    };
+                    records.push((at + latency, query, completion(query, latency)));
+                }
+                records.sort_by_key(|&(at, ..)| at);
+                records
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tallies_match_the_histogram_reference_for_one_sla_per_model() {
+        let window_ns = 1_000;
+        // Seeds whose trace has same-instant records, an empty interior
+        // bin, and a lane that never sees some model.
+        let (mut same_instant, mut gaps, mut partial_lanes) = (0, 0, 0);
+        for seed in 0..32u64 {
+            let lanes = random_lanes(seed, window_ns);
+            let pairs = || lanes.iter().flat_map(|l| l.windows(2));
+            same_instant += usize::from(pairs().any(|w| w[0].0 == w[1].0));
+            gaps += usize::from(pairs().any(|w| w[1].0 / window_ns > w[0].0 / window_ns + 1));
+            let models_in = |l: &LaneRecords| {
+                l.iter()
+                    .filter_map(|r| match r.2 {
+                        TraceEvent::Arrival { group, .. } => Some(group),
+                        _ => None,
+                    })
+                    .collect::<std::collections::BTreeSet<_>>()
+            };
+            let all: std::collections::BTreeSet<_> = lanes.iter().flat_map(models_in).collect();
+            partial_lanes += usize::from(lanes.iter().any(|l| models_in(l) != all));
+            let (online, oracle) = online_and_oracle(&lanes, window_ns);
+            assert_eq!(online, oracle, "seed {seed}: online vs from_trace");
+            assert!(
+                online
+                    .series()
+                    .iter()
+                    .any(|s| s.name.ends_with("/sla_violation_rate")),
+                "seed {seed}: no violation series"
+            );
+            assert_eq!(online, histogram_reference(&lanes, &online), "seed {seed}");
+        }
+        assert!(
+            same_instant > 0 && gaps > 0 && partial_lanes > 0,
+            "coverage: {same_instant} same-instant, {gaps} gap, {partial_lanes} partial-lane traces"
+        );
+    }
+
+    #[test]
+    fn each_completion_is_judged_against_its_own_arrivals_sla() {
+        // One model, two lanes, two SLAs: lane 0 promises 1 µs, lane 1
+        // 5 µs, and both complete a 3 µs query in bin 0.
+        let lanes: Vec<LaneRecords> = [1_000u64, 5_000]
+            .into_iter()
+            .map(|sla| {
+                vec![
+                    (100, 0, arrival(0, 0, 100, sla)),
+                    (3_100, 0, completion(0, 3_000)),
+                ]
+            })
+            .collect();
+        let (online, oracle) = online_and_oracle(&lanes, 10_000);
+        assert_eq!(online, oracle);
+        let rate = &online
+            .get("model0/sla_violation_rate")
+            .expect("series")
+            .values;
+        assert_eq!(
+            rate,
+            &vec![0.5],
+            "one of two completions missed its own SLA"
+        );
+        // The first-seen rule judged both against lane 0's 1 µs SLA.
+        let first_seen = histogram_reference(&lanes, &online);
+        assert_eq!(
+            first_seen.get("model0/sla_violation_rate").unwrap().values,
+            vec![1.0]
+        );
+    }
+
+    #[test]
+    fn arrivals_without_an_sla_are_not_tallied() {
+        let lanes: Vec<LaneRecords> = vec![vec![
+            (0, 0, arrival(0, 0, 0, 0)),
+            (0, 1, arrival(1, 1, 0, 2_000)),
+            (5_000, 0, completion(0, 5_000)),
+            (5_000, 1, completion(1, 5_000)),
+        ]];
+        let (online, oracle) = online_and_oracle(&lanes, 10_000);
+        assert_eq!(online, oracle);
+        assert!(online.get("model0/sla_violation_rate").is_none());
+        assert_eq!(
+            online.get("model1/sla_violation_rate").unwrap().values,
+            vec![1.0]
+        );
+    }
+
+    impl OnlineLane {
+        /// Bytes the per-(model, bin) tallies hold, from `Vec` capacities.
+        fn tally_bytes(&self) -> usize {
+            self.tallies.capacity() * std::mem::size_of::<Vec<(u32, u32)>>()
+                + self
+                    .tallies
+                    .iter()
+                    .map(|bins| bins.capacity() * std::mem::size_of::<(u32, u32)>())
+                    .sum::<usize>()
+        }
+    }
+
+    #[test]
+    fn tallies_cost_at_most_16_bytes_per_model_and_bin() {
+        let (window_ns, models, bins) = (1_000u64, 2usize, 50u64);
+        let mut lane = OnlineLane::new(0, window_ns);
+        let mut query = 0;
+        for bin in 0..bins {
+            for group in 0..models {
+                let at = bin * window_ns;
+                lane.record(t(at), query, arrival(query, group, at, 500));
+                lane.record(t(at + 400), query, completion(query, 400));
+                query += 1;
+            }
+        }
+        let touched = models * bins as usize;
+        assert!(
+            lane.tally_bytes() <= 16 * touched,
+            "{} B for {touched} (model, bin) pairs",
+            lane.tally_bytes()
+        );
     }
 }
